@@ -15,7 +15,6 @@ package sttsim_test
 
 import (
 	"bytes"
-	"fmt"
 	"io"
 	"testing"
 
@@ -175,21 +174,6 @@ func BenchmarkFullRun(b *testing.B) {
 	}
 }
 
-// BenchmarkFullRunPar is BenchmarkFullRun/wb under the two-phase tick's
-// intra-run worker pool (the CLIs' -par flag). Results are byte-identical to
-// the sequential run at any worker count; only the wall clock moves. The
-// bench guard records these rows but compares them warn-only — speedup
-// depends on host core count, which the baseline can't pin.
-func BenchmarkFullRunPar(b *testing.B) {
-	for _, workers := range []int{2, 4} {
-		b.Run(fmt.Sprintf("wb-%d", workers), func(b *testing.B) {
-			sim.SetParallelism(workers)
-			defer sim.SetParallelism(1)
-			benchScheme(b, sim.SchemeSTT4TSBWB)
-		})
-	}
-}
-
 // ---------------------------------------------------------------------------
 // Substrate micro-benchmarks.
 // ---------------------------------------------------------------------------
@@ -273,7 +257,6 @@ func BenchmarkSimulatorCycle(b *testing.B) {
 		Assignment: workload.Homogeneous(workload.MustByName("tpcc")),
 	})
 	must(b, err)
-	defer s.Close()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := s.Step(); err != nil {
@@ -292,7 +275,6 @@ func BenchmarkSteadyStateCycle(b *testing.B) {
 		Assignment: workload.Homogeneous(workload.MustByName("tpcc")),
 	})
 	must(b, err)
-	defer s.Close()
 	for i := 0; i < 5000; i++ {
 		if err := s.Step(); err != nil {
 			b.Fatal(err)
@@ -318,7 +300,6 @@ func benchTracing(b *testing.B, oc *sim.ObsConfig) {
 		Obs:        oc,
 	})
 	must(b, err)
-	defer s.Close()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := s.Step(); err != nil {

@@ -32,7 +32,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"runtime"
 	"strings"
 	"syscall"
 	"time"
@@ -49,23 +48,6 @@ import (
 	"sttsim/internal/workload"
 )
 
-// resolvePar turns the -par flag into the simulator's intra-run worker count.
-// 0 means auto: divide the machine across the campaign's concurrent runs so
-// -jobs and -par compose without oversubscribing. Parallelism is an execution
-// knob — results are byte-identical at any value.
-func resolvePar(par, jobs int) int {
-	if par > 0 {
-		return par
-	}
-	if jobs <= 0 {
-		jobs = runtime.GOMAXPROCS(0)
-	}
-	if n := runtime.GOMAXPROCS(0) / jobs; n > 1 {
-		return n
-	}
-	return 1
-}
-
 func main() {
 	which := flag.String("exp", "all", "experiment to run (all, table2, table3, fig3, fig6, fig7, fig8, fig9, fig10, fig12, fig13, fig14, ablations, extensions, resilience)")
 	quick := flag.Bool("quick", false, "restrict sweeps to a representative benchmark subset")
@@ -76,7 +58,6 @@ func main() {
 		strings.Join(mem.ProfileNames(), ", ")+"; empty = scheme defaults)")
 	topo := flag.String("topo", "", "override the network shape as XxYxL, e.g. 8x8x3 (empty = paper's 8x8x2)")
 	jobs := flag.Int("jobs", 0, "concurrent simulations (0 = GOMAXPROCS)")
-	par := flag.Int("par", 0, "intra-run workers per simulation (0 = auto: GOMAXPROCS split across -jobs; 1 = sequential; results identical at any value)")
 	runTimeout := flag.Duration("run-timeout", 0, "wall-clock budget per simulation attempt (0 = none)")
 	checkpoint := flag.String("checkpoint", "", "JSONL checkpoint journal for finished runs (empty = none)")
 	resume := flag.Bool("resume", false, "replay finished runs from the checkpoint journal instead of re-executing them")
@@ -92,7 +73,6 @@ func main() {
 		fmt.Printf("experiments %s\n", version.String())
 		return
 	}
-	sim.SetParallelism(resolvePar(*par, *jobs))
 
 	stopProf, err := prof.Start(*cpuprofile, *memprofile)
 	if err != nil {

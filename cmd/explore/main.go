@@ -23,7 +23,6 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"runtime"
 	"strconv"
 	"strings"
 	"syscall"
@@ -60,7 +59,6 @@ func run() int {
 	minCycles := flag.Uint64("min-cycles", 0, "halving strategy: first-round budget (0 = measure/8)")
 	searchSeed := flag.Uint64("search-seed", 1, "strategy seed (random sampling, halving subsample)")
 	jobs := flag.Int("jobs", 0, "parallel evaluations (0 = GOMAXPROCS)")
-	par := flag.Int("par", 0, "intra-run workers per evaluation (0 = auto: GOMAXPROCS split across -jobs; 1 = sequential; results identical at any value)")
 	timeout := flag.Duration("timeout", 0, "per-evaluation wall-clock budget (0 = none)")
 	journal := flag.String("journal", "", "checkpoint journal path (enables crash-safe progress)")
 	resume := flag.Bool("resume", false, "replay finished evaluations from -journal instead of re-running")
@@ -77,7 +75,6 @@ func run() int {
 		fmt.Fprintln(os.Stderr, "-resume needs -journal to know where the checkpoint lives")
 		return 2
 	}
-	sim.SetParallelism(resolvePar(*par, *jobs))
 
 	var assignment workload.Assignment
 	switch *bench {
@@ -201,23 +198,6 @@ func run() int {
 		return 1
 	}
 	return 0
-}
-
-// resolvePar turns the -par flag into the simulator's intra-run worker count.
-// 0 means auto: divide the machine across the concurrent evaluations so -jobs
-// and -par compose without oversubscribing. Parallelism is an execution knob —
-// pareto.jsonl is byte-identical at any value.
-func resolvePar(par, jobs int) int {
-	if par > 0 {
-		return par
-	}
-	if jobs <= 0 {
-		jobs = runtime.GOMAXPROCS(0)
-	}
-	if n := runtime.GOMAXPROCS(0) / jobs; n > 1 {
-		return n
-	}
-	return 1
 }
 
 // hasAxisFlags reports whether any explicit axis flag was given.

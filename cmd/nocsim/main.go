@@ -15,7 +15,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"strings"
 
 	"sttsim/internal/core"
@@ -48,16 +47,6 @@ type jsonReport struct {
 	UncoreEnergyJ         float64   `json:"uncore_energy_j"`
 	WriteShadowPct        float64   `json:"write_shadow_pct"`
 	ArbiterDelayDecisions uint64    `json:"arbiter_delay_decisions,omitempty"`
-}
-
-// setParallelism resolves the -par flag (0 = GOMAXPROCS) into the simulator's
-// intra-run worker count. Parallelism is an execution knob: results are
-// byte-identical at any value.
-func setParallelism(par int) {
-	if par <= 0 {
-		par = runtime.GOMAXPROCS(0)
-	}
-	sim.SetParallelism(par)
 }
 
 var schemeFlags = map[string]sim.Scheme{
@@ -99,14 +88,12 @@ func run() int {
 	showVersion := flag.Bool("version", false, "print the build version and exit")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile (post-run snapshot) to this file")
-	par := flag.Int("par", 0, "intra-run workers for the two-phase tick (0 = GOMAXPROCS, 1 = sequential; results identical at any value)")
 	flag.Parse()
 
 	if *showVersion {
 		fmt.Printf("nocsim %s\n", version.String())
 		return 0
 	}
-	setParallelism(*par)
 
 	stopProf, err := prof.Start(*cpuprofile, *memprofile)
 	if err != nil {

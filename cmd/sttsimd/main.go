@@ -37,14 +37,12 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"runtime"
 	"syscall"
 	"time"
 
 	"sttsim/internal/campaign"
 	"sttsim/internal/dist"
 	"sttsim/internal/service"
-	"sttsim/internal/sim"
 	"sttsim/internal/version"
 )
 
@@ -69,7 +67,6 @@ func main() {
 	workerID := flag.String("worker-id", "", "worker: stable identity in leases and logs (default host-pid)")
 	heartbeat := flag.Duration("heartbeat-interval", 2*time.Second, "worker: lease heartbeat period")
 	leaseWait := flag.Duration("lease-wait", 5*time.Second, "worker: lease long-poll horizon")
-	par := flag.Int("par", 0, "intra-run workers per simulation (0 = auto: GOMAXPROCS split across -jobs; 1 = sequential; results identical at any value)")
 	showVersion := flag.Bool("version", false, "print the build version and exit")
 	flag.Parse()
 
@@ -78,11 +75,6 @@ func main() {
 		fmt.Printf("sttsimd %s\n", ver)
 		return
 	}
-	// Parallelism is an execution knob with byte-identical results, so the
-	// result cache, singleflight memo and journal replay stay config-keyed.
-	// Workers execute leased jobs one at a time by default, so the auto
-	// setting gives each leased run the whole machine.
-	sim.SetParallelism(resolvePar(*par, *jobs, *mode == "worker"))
 	logger := log.New(os.Stderr, "sttsimd: ", log.LstdFlags)
 
 	switch *mode {
@@ -199,27 +191,6 @@ func main() {
 		logger.Printf("shutdown: %v", err)
 	}
 	logger.Printf("stopped")
-}
-
-// resolvePar turns the -par flag into the simulator's intra-run worker count.
-// 0 means auto: a worker runs one leased job at a time, so it takes the whole
-// machine; standalone divides GOMAXPROCS across -jobs concurrent simulations
-// so the two knobs compose without oversubscribing. Coordinators execute
-// nothing locally, so the setting is inert there.
-func resolvePar(par, jobs int, worker bool) int {
-	if par > 0 {
-		return par
-	}
-	if worker {
-		return runtime.GOMAXPROCS(0)
-	}
-	if jobs <= 0 {
-		jobs = runtime.GOMAXPROCS(0)
-	}
-	if n := runtime.GOMAXPROCS(0) / jobs; n > 1 {
-		return n
-	}
-	return 1
 }
 
 // runWorker is -mode worker: no listener, no engine — just the lease/run/

@@ -384,7 +384,7 @@ func TestPreloadSkipsRetryableFailures(t *testing.T) {
 // journal.
 func TestInterruptDrains(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "ckpt.jsonl")
-	started := make(chan struct{})
+	started := make(chan struct{}, 1)
 	eng := New(Policy{Jobs: 1})
 	eng.SetRunFunc(func(ctx context.Context, cfg sim.Config) (*sim.Result, error) {
 		select {

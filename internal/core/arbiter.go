@@ -47,14 +47,7 @@ type BankAwareArbiter struct {
 
 	busyUntil []uint64 // per child bank
 	childWC   []uint64 // per-child write service override (hybrid)
-
-	// delayed counts delay classifications per parent node. Priority runs
-	// inside the routers' parallel phase A, so the counter is sharded by the
-	// router doing the asking (distinct slice elements, no shared writes);
-	// Stats sums it in ascending node order. The forward counters stay in
-	// stats because OnForward only runs during the sequential commit.
-	delayed []uint64
-	stats   ArbiterStats
+	stats     ArbiterStats
 }
 
 // NewBankAwareArbiter builds the policy for the given parent map, estimator,
@@ -72,7 +65,6 @@ func NewBankAwareArbiter(pm *ParentMap, est Estimator, readCycles, writeCycles u
 		holdCap:     HoldCap,
 		busyUntil:   make([]uint64, pm.Topology().NumNodes()),
 		childWC:     make([]uint64, pm.Topology().NumNodes()),
-		delayed:     make([]uint64, pm.Topology().NumNodes()),
 	}
 }
 
@@ -109,15 +101,8 @@ func (a *BankAwareArbiter) AttachNetwork(n *noc.Network) { a.net = n }
 // to demotion (about one port's worth of flits).
 const holdHeadroomFlits = 10
 
-// Stats returns a copy of the decision counters, folding the per-node delay
-// shards into DelayDecisions.
-func (a *BankAwareArbiter) Stats() ArbiterStats {
-	st := a.stats
-	for _, d := range a.delayed {
-		st.DelayDecisions += d
-	}
-	return st
-}
+// Stats returns a copy of the decision counters.
+func (a *BankAwareArbiter) Stats() ArbiterStats { return a.stats }
 
 // BusyUntil returns the predicted idle time of child bank d.
 func (a *BankAwareArbiter) BusyUntil(d noc.NodeID) uint64 { return a.busyUntil[d] }
@@ -142,7 +127,7 @@ func (a *BankAwareArbiter) Priority(at noc.NodeID, p *noc.Packet, now uint64) in
 	if eta >= busy {
 		return PriorityNormal
 	}
-	a.delayed[at]++
+	a.stats.DelayDecisions++
 	if p.Kind == noc.KindReadReq {
 		// Reads into a write-busy bank's shadow are merely demoted: they
 		// overtake the delayed writes but still yield to idle-bank traffic.

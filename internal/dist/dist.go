@@ -18,8 +18,8 @@
 //     a stale run can never overwrite the canonical result or double-write
 //     the journal (Table.Complete).
 //   - Workers retry every coordinator call with jittered exponential
-//     backoff (Backoff) and honor Retry-After, so a briefly unreachable or
-//     back-pressured coordinator causes delay, not data loss.
+//     backoff (sttsim.Backoff) and honor Retry-After, so a briefly
+//     unreachable or back-pressured coordinator causes delay, not data loss.
 //   - The coordinator journals a StatusLeased write-ahead record per
 //     delivery; on restart it re-queues leased-but-unfinished jobs from the
 //     journal (campaign.PendingLeases) so work survives coordinator

@@ -14,6 +14,7 @@ import (
 	"sttsim/internal/campaign"
 	"sttsim/internal/obs"
 	"sttsim/internal/sim"
+	"sttsim/pkg/sttsim"
 )
 
 // Worker is the stateless execution half of the distribution layer: it
@@ -39,7 +40,7 @@ type Worker struct {
 	DrainGrace time.Duration
 	// Backoff paces retries of failed coordinator calls (default jittered
 	// 100ms..5s).
-	Backoff *Backoff
+	Backoff *sttsim.Backoff
 	// Logf receives operational diagnostics (default: discarded).
 	Logf func(format string, args ...any)
 }
@@ -69,7 +70,7 @@ func (w *Worker) withDefaults() error {
 		w.DrainGrace = time.Minute
 	}
 	if w.Backoff == nil {
-		w.Backoff = NewBackoff(100*time.Millisecond, 5*time.Second, 0)
+		w.Backoff = sttsim.NewBackoff(100*time.Millisecond, 5*time.Second, 0)
 	}
 	if w.Logf == nil {
 		w.Logf = func(string, ...any) {}
@@ -262,7 +263,6 @@ func (w *Worker) lease(ctx context.Context) (*Task, time.Duration, error) {
 // jittered backoff and honoring Retry-After. A 410 means this worker was
 // fenced — the result is discarded, which is exactly the fencing contract.
 func (w *Worker) complete(ctx context.Context, req CompleteRequest) {
-	b := NewBackoff(w.Backoff.Base, w.Backoff.Max, 0)
 	const attempts = 6
 	for i := 1; ; i++ {
 		status, _, retryAfter, err := w.post(context.WithoutCancel(ctx), PathComplete, req)
@@ -282,7 +282,7 @@ func (w *Worker) complete(ctx context.Context, req CompleteRequest) {
 				w.ID, short(req.Key), req.Epoch, attempts)
 			return
 		}
-		d := b.Observe(retryAfter)
+		d := w.Backoff.Delay(i-1, retryAfter)
 		w.Logf("dist[%s]: complete %s@%d attempt %d failed (status %d, err %v); retrying in %s",
 			w.ID, short(req.Key), req.Epoch, i, status, err, d.Round(time.Millisecond))
 		time.Sleep(d)

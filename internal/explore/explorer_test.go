@@ -83,37 +83,6 @@ func TestExplorerGridDeterministicAcrossParallelism(t *testing.T) {
 	}
 }
 
-// TestExplorerDeterministicAcrossIntraRunParallelism: the intra-run worker
-// count (sim.SetParallelism, the CLIs' -par flag) is an execution knob, not a
-// model parameter — the same space must render byte-identical pareto.jsonl at
-// any setting, including on non-default topologies.
-func TestExplorerDeterministicAcrossIntraRunParallelism(t *testing.T) {
-	if testing.Short() {
-		t.Skip("multi-run simulation sweep")
-	}
-	render := func(par int) []byte {
-		sim.SetParallelism(par)
-		defer sim.SetParallelism(1)
-		rep := runExplorer(t, &Explorer{
-			Space:    smallSpace(t, 1500),
-			Strategy: Grid{},
-			Policy:   campaign.Policy{Jobs: 1},
-		})
-		var buf bytes.Buffer
-		if err := rep.WritePareto(&buf); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
-	}
-	ref := render(1)
-	for _, par := range []int{2, 8} {
-		if got := render(par); !bytes.Equal(ref, got) {
-			t.Fatalf("pareto.jsonl differs between -par 1 and -par %d:\n--- par=1\n%s--- par=%d\n%s",
-				par, ref, par, got)
-		}
-	}
-}
-
 // TestExplorerFrontierProperty: on a real sweep, no frontier member is
 // dominated by any full-budget evaluation.
 func TestExplorerFrontierProperty(t *testing.T) {

@@ -21,6 +21,7 @@ import (
 	"sttsim/internal/failpoint"
 	"sttsim/internal/service"
 	"sttsim/internal/sim"
+	"sttsim/pkg/sttsim"
 )
 
 // TestChaosSchedules is the schedule-driven chaos suite: it boots a live
@@ -215,7 +216,7 @@ func runChaosSchedule(t *testing.T, seed int64) {
 			HeartbeatInterval: 50 * time.Millisecond,
 			LeaseWait:         500 * time.Millisecond,
 			DrainGrace:        200 * time.Millisecond,
-			Backoff:           dist.NewBackoff(10*time.Millisecond, 100*time.Millisecond, seed),
+			Backoff:           sttsim.NewBackoff(10*time.Millisecond, 100*time.Millisecond, seed),
 		}
 		wg.Add(1)
 		go func() {

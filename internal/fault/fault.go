@@ -169,13 +169,7 @@ type Engine struct {
 	next   int
 
 	bankRNG []uint64
-
-	// draws/fails shard the stochastic-activity counters by bank: WriteFails
-	// is called from the bank layer's parallel phase A, where each bank owns
-	// its own slice elements, so no shared counter is written there. Stats
-	// folds them in ascending bank order.
-	draws []uint64
-	fails []uint64
+	stats   Stats
 }
 
 // NewEngine builds the engine for a campaign over the default topology's 64
@@ -196,12 +190,7 @@ func NewEngineBanks(cfg Config, runSeed uint64, numBanks int) (*Engine, error) {
 	if seed == 0 {
 		seed = runSeed ^ 0xFA017FA017FA0170
 	}
-	e := &Engine{
-		cfg:     cfg,
-		bankRNG: make([]uint64, numBanks),
-		draws:   make([]uint64, numBanks),
-		fails:   make([]uint64, numBanks),
-	}
+	e := &Engine{cfg: cfg, bankRNG: make([]uint64, numBanks)}
 	for b := range e.bankRNG {
 		// Distinct, well-mixed stream per bank: draws stay deterministic even
 		// if bank service order ever changes.
@@ -222,24 +211,12 @@ func NewEngineBanks(cfg Config, runSeed uint64, numBanks int) (*Engine, error) {
 // Config returns the campaign configuration.
 func (e *Engine) Config() Config { return e.cfg }
 
-// Stats sums the per-bank stochastic-draw counters in ascending bank order.
-func (e *Engine) Stats() Stats {
-	var st Stats
-	for b := range e.draws {
-		st.WriteDraws += e.draws[b]
-		st.WriteFailures += e.fails[b]
-	}
-	return st
-}
+// Stats returns a copy of the stochastic-draw counters.
+func (e *Engine) Stats() Stats { return e.stats }
 
 // ResetStats clears the stochastic-draw counters (end of warmup). The PRNG
 // streams and the structural-event cursor are untouched.
-func (e *Engine) ResetStats() {
-	for b := range e.draws {
-		e.draws[b] = 0
-		e.fails[b] = 0
-	}
-}
+func (e *Engine) ResetStats() { e.stats = Stats{} }
 
 // HasEventsDue reports (in O(1)) whether EventsDue would return anything.
 func (e *Engine) HasEventsDue(now uint64) bool {
@@ -265,7 +242,7 @@ func (e *Engine) WriteFails(bank int) bool {
 	if e.cfg.WriteErrorRate <= 0 || bank < 0 || bank >= len(e.bankRNG) {
 		return false
 	}
-	e.draws[bank]++
+	e.stats.WriteDraws++
 	// splitmix64 step on the bank's private stream.
 	e.bankRNG[bank] += 0x9E3779B97F4A7C15
 	z := e.bankRNG[bank]
@@ -273,7 +250,7 @@ func (e *Engine) WriteFails(bank int) bool {
 	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
 	z ^= z >> 31
 	if float64(z>>11)/(1<<53) < e.cfg.WriteErrorRate {
-		e.fails[bank]++
+		e.stats.WriteFailures++
 		return true
 	}
 	return false

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/bits"
 
-	"sttsim/internal/par"
 	"sttsim/internal/stats"
 )
 
@@ -86,18 +85,11 @@ type Network struct {
 	activeNIC  []uint64
 	exhaustive bool
 
-	// Two-phase tick execution state (DESIGN.md §18). pool shards the
-	// parallel phases; the nil pool is the exact sequential loop. workNIC and
-	// workRtr are reusable worklist snapshots of the active-set bitsets —
-	// parallel phases iterate snapshots so the bitsets themselves are only
-	// ever mutated from sequential code. phaseNow plus the pre-bound
-	// nicInject/rtrPhase closures keep Pool.Run allocation-free.
-	pool      *par.Pool
-	workNIC   []NodeID
-	workRtr   []NodeID
-	phaseNow  uint64
-	nicInject func(worker, workers int)
-	rtrPhase  func(worker, workers int)
+	// Two-phase tick worklists (DESIGN.md §18): reusable ascending snapshots
+	// of the active-set bitsets. Each phase iterates a snapshot, so bits set
+	// mid-phase take effect at the next phase boundary, never mid-sweep.
+	workNIC []NodeID
+	workRtr []NodeID
 
 	stats    NetStats
 	inflight int
@@ -125,11 +117,6 @@ func (n *Network) clearRouterActive(id NodeID) {
 func (n *Network) clearNICActive(id NodeID) {
 	n.activeNIC[uint(id)>>6] &^= 1 << (uint(id) & 63)
 }
-
-// SetWorkers installs the worker pool driving the parallel phases of Step.
-// A nil pool (the default) runs the exact sequential loop. The pool is owned
-// by the caller, which must keep it alive for the network's lifetime.
-func (n *Network) SetWorkers(p *par.Pool) { n.pool = p }
 
 // SetExhaustiveTick switches Step between sparse active-set ticking (the
 // default) and the exhaustive full-scan oracle. The two are behaviourally
@@ -180,22 +167,6 @@ func NewNetwork(cfg Config) (*Network, error) {
 		watchdog:    cfg.WatchdogCycles,
 		workNIC:     make([]NodeID, 0, numNodes),
 		workRtr:     make([]NodeID, 0, numNodes),
-	}
-	// Pre-bound phase closures: Step re-targets them via n.phaseNow and the
-	// worklists, so dispatching a phase allocates nothing.
-	n.nicInject = func(worker, workers int) {
-		lo, hi := par.Span(len(n.workNIC), worker, workers)
-		for _, id := range n.workNIC[lo:hi] {
-			n.nics[id].injectPhase(n.phaseNow)
-		}
-	}
-	n.rtrPhase = func(worker, workers int) {
-		lo, hi := par.Span(len(n.workRtr), worker, workers)
-		for _, id := range n.workRtr[lo:hi] {
-			r := n.routers[id]
-			r.switchAlloc(n.phaseNow)
-			r.vcAlloc(n.phaseNow)
-		}
 	}
 	if n.bufDepth == 0 {
 		n.bufDepth = DefaultBufDepth
@@ -339,25 +310,12 @@ func (n *Network) NIC(id NodeID) *NIC { return n.nics[id] }
 // SetDeliver registers the packet sink for node id.
 func (n *Network) SetDeliver(id NodeID, fn DeliverFunc) { n.nics[id].SetDeliver(fn) }
 
-// Stats returns a copy of the accumulated network statistics. BufferWrites
-// is kept per router (flit acceptance runs during the parallel phases) and
-// summed here in ascending node order.
-func (n *Network) Stats() NetStats {
-	st := n.stats
-	for _, r := range n.routers {
-		st.BufferWrites += r.bufWrites
-	}
-	return st
-}
+// Stats returns a copy of the accumulated network statistics.
+func (n *Network) Stats() NetStats { return n.stats }
 
 // ResetStats clears the accumulated statistics (used at the end of warmup);
 // in-flight packets are unaffected.
-func (n *Network) ResetStats() {
-	n.stats = NetStats{}
-	for _, r := range n.routers {
-		r.bufWrites = 0
-	}
-}
+func (n *Network) ResetStats() { n.stats = NetStats{} }
 
 // InFlight returns the number of packets injected but not yet delivered.
 func (n *Network) InFlight() int { return n.inflight }
@@ -454,8 +412,7 @@ func (n *Network) priority(at NodeID, p *Packet, now uint64) int {
 
 // gatherWork snapshots an active-set bitset into dst as an ascending node
 // worklist (all nodes in exhaustive mode). Phases iterate the snapshot, never
-// the live bitset, so sequential phases may set bits freely and parallel
-// phases never touch the bitsets at all.
+// the live bitset, so they may set bits freely.
 func (n *Network) gatherWork(active []uint64, dst []NodeID) []NodeID {
 	dst = dst[:0]
 	if n.exhaustive {
@@ -476,22 +433,19 @@ func (n *Network) gatherWork(active []uint64, dst []NodeID) []NodeID {
 
 // Step advances the network one cycle as a two-phase tick (DESIGN.md §18):
 //
-//	N1  deliveries    sequential, ascending — gate retries, reassembly, sinks
-//	N2  injection     parallel — each NIC touches only its own node's state
-//	N3  NIC commit    sequential, ascending — activation bits, lastMove
-//	R1  router phase A parallel — VA/SA decisions from frozen cycle-N state;
+//	N1  deliveries     ascending — gate retries, reassembly, sinks
+//	N2  injection      ascending — each NIC sends into its own router
+//	R1  router phase A VA/SA decisions from frozen cycle-N state;
 //	                   cross-router effects deferred into per-router op logs
-//	R2  router commit sequential, ascending — op logs applied, bits settled
+//	R2  router commit  ascending — op logs applied, bits settled
 //
-// The parallel phases are side-effect-disjoint by node and the sequential
-// phases run in ascending node order, so results are byte-identical at any
-// worker count; a nil pool runs the same phases inline, which *is* the
-// sequential loop. All activations become visible at phase boundaries rather
-// than mid-sweep, which also makes the sparse path coincide with the
-// exhaustive full-scan oracle by construction. When the deadlock watchdog
-// fires — packets in flight but no flit movement for over the watchdog
-// window — Step returns a *DeadlockError carrying the stalled-packet dump
-// instead of panicking, so callers can surface a structured failure report.
+// Every phase walks a worklist snapshot taken at its start, so activations
+// become visible at phase boundaries rather than mid-sweep, which makes the
+// sparse path coincide with the exhaustive full-scan oracle by construction.
+// When the deadlock watchdog fires — packets in flight but no flit movement
+// for over the watchdog window — Step returns a *DeadlockError carrying the
+// stalled-packet dump instead of panicking, so callers can surface a
+// structured failure report.
 func (n *Network) Step(now uint64) error {
 	// N1 — deliveries. Sinks may inject, marking further NICs active.
 	n.workNIC = n.gatherWork(n.activeNIC, n.workNIC)
@@ -502,19 +456,9 @@ func (n *Network) Step(now uint64) error {
 	// N2 — injection, over a fresh snapshot so NICs whose queues were filled
 	// by this cycle's deliveries inject this cycle (as the full scan would).
 	n.workNIC = n.gatherWork(n.activeNIC, n.workNIC)
-	if len(n.workNIC) > 0 {
-		n.phaseNow = now
-		n.pool.Run(n.nicInject)
-	}
-
-	// N3 — NIC commit: shared bookkeeping recorded as per-NIC flags in N2.
 	for _, id := range n.workNIC {
 		nic := n.nics[id]
-		if nic.injected {
-			nic.injected = false
-			n.markRouterActive(id)
-			n.lastMove = now
-		}
+		nic.injectPhase(now)
 		if nic.idle() {
 			n.clearNICActive(id)
 		}
@@ -522,9 +466,10 @@ func (n *Network) Step(now uint64) error {
 
 	// R1 — router phase A: VA/SA decisions from the frozen cycle-N state.
 	n.workRtr = n.gatherWork(n.activeRtr, n.workRtr)
-	if len(n.workRtr) > 0 {
-		n.phaseNow = now
-		n.pool.Run(n.rtrPhase)
+	for _, id := range n.workRtr {
+		r := n.routers[id]
+		r.switchAlloc(now)
+		r.vcAlloc(now)
 	}
 
 	// R2 — router commit in ascending node order, then settle the bits: a

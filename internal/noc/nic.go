@@ -47,12 +47,6 @@ type NIC struct {
 	deliver DeliverFunc
 	gate    GateFunc
 	blocked [NumClasses][]*Packet // reassembled but refused by the gate
-
-	// injected records that injectPhase moved a flit this cycle. The parallel
-	// injection phase may only touch this NIC's own state, so the shared
-	// bookkeeping (lastMove, the router activation bit) is applied from the
-	// flag by the network's sequential NIC-commit pass.
-	injected bool
 }
 
 // ID returns the NIC's node.
@@ -108,16 +102,15 @@ func (n *NIC) idle() bool {
 
 // deliverPhase processes ejections due at cycle now: gate retries first, then
 // inbox reassembly. Delivery sinks run simulator code (which may inject new
-// packets), so the network runs this phase sequentially in ascending node
-// order.
+// packets), so the network runs this phase for every NIC before any NIC
+// injects.
 func (n *NIC) deliverPhase(now uint64) {
 	n.retryBlocked(now)
 	n.eject(now)
 }
 
-// injectPhase grants injection VCs and sends up to one flit. It touches only
-// this NIC's own state — its queues, its injection link, and its own router's
-// local input port — so the network runs it in parallel across NICs.
+// injectPhase grants injection VCs and sends up to one flit into its own
+// router's local input port.
 func (n *NIC) injectPhase(now uint64) {
 	n.startStreams()
 	n.injectOne(now)
@@ -204,7 +197,7 @@ func (n *NIC) injectOne(now uint64) {
 		}
 		n.inj.credits[s.vc]--
 		n.router.acceptFlit(PortLocal, s.vc, f, now)
-		n.injected = true
+		n.net.lastMove = now
 		s.next++
 		if f.Tail {
 			n.inj.tailSent[s.vc] = true

@@ -1,15 +1,11 @@
 package noc
 
-import "sync"
-
 // PacketPool is a free list of Packet objects for allocation-free steady
 // state: the cycle loop churns through thousands of short-lived packets per
 // simulated millisecond, and without pooling every one is a garbage-collected
-// heap object. The pool is single-threaded by default; SetConcurrent guards
-// it with a mutex for the parallel phases of the two-phase tick. Reuse is
-// LIFO, and because Get fully re-zeroes each packet, which *object* a caller
-// receives is unobservable in results — runs stay bit-for-bit reproducible
-// even when concurrent phases interleave Get/Put arbitrarily.
+// heap object. The pool is strictly single-threaded (like the simulator) and
+// LIFO, so reuse order is deterministic and runs stay bit-for-bit
+// reproducible.
 //
 // Ownership contract: the component that creates a packet obtains it with
 // Get; whoever terminally consumes it (in the full simulator, the delivery
@@ -19,39 +15,17 @@ import "sync"
 type PacketPool struct {
 	free []*Packet
 
-	// mu guards free and Allocated when locked is set. Lock/Unlock are called
-	// explicitly (no defer) to keep the locked fast path cheap.
-	mu     sync.Mutex
-	locked bool
-
 	// Allocated counts pool misses (packets newly heap-allocated because the
 	// free list was empty). After warmup this should stop growing: the
-	// steady-state working set recirculates through the free list. The count
-	// depends on allocation interleaving and is deliberately excluded from
-	// run results.
+	// steady-state working set recirculates through the free list.
 	Allocated uint64
 }
 
 // NewPacketPool returns an empty pool.
 func NewPacketPool() *PacketPool { return &PacketPool{} }
 
-// SetConcurrent toggles mutex protection. The simulator enables it whenever
-// it runs with more than one worker, since cores and banks allocate packets
-// during the parallel phases.
-func (pp *PacketPool) SetConcurrent(on bool) { pp.locked = on }
-
 // Get returns a zeroed packet owned by the pool.
 func (pp *PacketPool) Get() *Packet {
-	if pp.locked {
-		pp.mu.Lock()
-		p := pp.get()
-		pp.mu.Unlock()
-		return p
-	}
-	return pp.get()
-}
-
-func (pp *PacketPool) get() *Packet {
 	if n := len(pp.free); n > 0 {
 		p := pp.free[n-1]
 		pp.free = pp.free[:n-1]
@@ -80,12 +54,6 @@ func (pp *PacketPool) Put(p *Packet) {
 		return
 	}
 	p.pooled = false // double-Put protection
-	if pp.locked {
-		pp.mu.Lock()
-		pp.free = append(pp.free, p)
-		pp.mu.Unlock()
-		return
-	}
 	pp.free = append(pp.free, p)
 }
 

@@ -118,11 +118,8 @@ type Router struct {
 	bufCap        int // total flit-buffer capacity (fixed at construction)
 
 	// ops is the phase-A grant log, drained by commitOps each cycle; the
-	// backing array reaches steady-state capacity during warmup. bufWrites
-	// is this router's share of NetStats.BufferWrites, kept per router so
-	// phase-A flit acceptance (NIC injection) never touches shared counters.
-	ops       []fwdOp
-	bufWrites uint64
+	// backing array reaches steady-state capacity during warmup.
+	ops []fwdOp
 
 	// saCands is switchAlloc's per-output-port candidate scratch, reused
 	// across cycles so the SA stage allocates nothing in steady state.
@@ -135,12 +132,9 @@ func (r *Router) ID() NodeID { return r.id }
 // numVCs returns the per-port VC count.
 func (r *Router) numVCs() int { return r.net.numVCs }
 
-// acceptFlit buffers a flit arriving on (port, vc). The header flit claims
-// the VC and has its route computed (the RC stage). It touches only the
-// receiving router's own state — activation marking is the caller's job
-// (commit sweeps mark in the shared bitset; a NIC injecting during phase A
-// records an own-node flag instead), so acceptFlit is safe both from the
-// sequential commit and from the owning node's parallel injection phase.
+// acceptFlit buffers a flit arriving on (port, vc) and marks the router
+// active. The header flit claims the VC and has its route computed (the RC
+// stage).
 func (r *Router) acceptFlit(port Port, vc int, f Flit, now uint64) {
 	ip := r.in[port]
 	st := &ip.vcs[vc]
@@ -163,7 +157,8 @@ func (r *Router) acceptFlit(port Port, vc int, f Flit, now uint64) {
 	st.buf = append(st.buf, f)
 	ip.buffered++
 	r.bufferedFlits++
-	r.bufWrites++
+	r.net.stats.BufferWrites++
+	r.net.markRouterActive(r.id)
 }
 
 // vcAlloc runs the VA stage: headers whose packets do not yet own a
@@ -365,11 +360,11 @@ func pickWinner(list []saCandidate, rr, numVCs int) int {
 // per hop including the stage-1 cycle).
 //
 // Everything mutated here belongs to the granting router — its input VC
-// state and its own outLink — so concurrent phase-A ticks of different
-// routers never touch the same memory. The cross-router effects (upstream
-// credit return, downstream buffering, prioritizer charge, traversal stats)
-// are deferred into r.ops and applied by commitOps after every router's
-// phase A has finished, all of them reading the frozen cycle-N state.
+// state and its own outLink — so no router's phase A observes another
+// router's same-cycle grants. The cross-router effects (upstream credit
+// return, downstream buffering, prioritizer charge, traversal stats) are
+// deferred into r.ops and applied by commitOps after every router's phase A
+// has finished, so every decision reads the frozen cycle-N state.
 func (r *Router) forward(port Port, vc int, ol *outLink, now uint64) {
 	ip := r.in[port]
 	st := &ip.vcs[vc]
@@ -397,7 +392,7 @@ func (r *Router) forward(port Port, vc int, ol *outLink, now uint64) {
 // statistics, and the flit handoff into the downstream router (or the local
 // NIC). The network calls it for every ticked router in ascending node
 // order, so the commit sequence — and with it every Prioritizer callback,
-// observer event and statistics update — is identical at any worker count.
+// observer event and statistics update — is fixed.
 func (r *Router) commitOps(now uint64) {
 	n := r.net
 	for i := range r.ops {
@@ -421,7 +416,6 @@ func (r *Router) commitOps(now uint64) {
 			op.ol.credits[op.outVC]++
 		} else {
 			op.ol.dst.acceptFlit(op.ol.dstPort, int(op.outVC), op.f, now)
-			n.markRouterActive(op.ol.dst.id)
 		}
 	}
 	if len(r.ops) > 0 {

@@ -18,6 +18,7 @@ import (
 	"sttsim/internal/dist"
 	"sttsim/internal/obs"
 	"sttsim/internal/sim"
+	"sttsim/pkg/sttsim"
 )
 
 // newCoordinator wires a coordinator-mode server over a fresh lease table.
@@ -60,7 +61,7 @@ func startWorker(t *testing.T, url, id string, run campaign.RunFunc) {
 		HeartbeatInterval: 20 * time.Millisecond,
 		LeaseWait:         200 * time.Millisecond,
 		DrainGrace:        50 * time.Millisecond,
-		Backoff:           dist.NewBackoff(5*time.Millisecond, 100*time.Millisecond, 1),
+		Backoff:           sttsim.NewBackoff(5*time.Millisecond, 100*time.Millisecond, 1),
 		Logf:              t.Logf,
 	}
 	ctx, cancel := context.WithCancel(context.Background())

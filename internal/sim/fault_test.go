@@ -37,7 +37,9 @@ func TestDisabledFaultConfigIsByteIdentical(t *testing.T) {
 
 // TestDeterministicReplayWithFaults: two runs with the same Config and fault
 // seed must be byte-identical, including every fault draw and degradation
-// counter.
+// counter. The campaign combines seeded write errors with a mid-run TSB
+// death, so the per-bank PRNG streams, the structural event and the route
+// recomputation all run in one replayed cycle loop.
 func TestDeterministicReplayWithFaults(t *testing.T) {
 	mk := func() Config {
 		cfg := faultCfg(SchemeSTT4TSBWB, "tpcc", &fault.Config{
@@ -60,6 +62,9 @@ func TestDeterministicReplayWithFaults(t *testing.T) {
 	}
 	if a.Fault == nil || a.Fault.WriteDraws == 0 {
 		t.Fatal("campaign ran but reported no write draws")
+	}
+	if a.Fault.TSBsFailed != 1 {
+		t.Fatalf("TSBsFailed = %d, want the scheduled mid-run death", a.Fault.TSBsFailed)
 	}
 }
 

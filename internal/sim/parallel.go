@@ -1,35 +1,8 @@
 package sim
 
-import "sync/atomic"
-
-// parWorkers is the package-wide intra-run worker count (see SetParallelism).
-// It defaults to 1 — the exact sequential loop — so library users, tests and
-// the CI allocation gates are unaffected unless a caller opts in; the CLIs
-// resolve their -par flag (0 = GOMAXPROCS) and opt in at startup.
-var parWorkers atomic.Int32
-
-// SetParallelism sets the worker count used by simulators built afterwards
-// (values below 1 are clamped to 1). Parallelism is an execution knob, not a
-// model parameter: results are byte-identical at any worker count, and the
-// knob is deliberately not part of Config — the SHA-256 config fingerprint,
-// campaign dedup, the sttsimd result cache and journal replay all treat
-// parallel and sequential runs of the same Config as the same job.
+// SetParallelism does nothing: the simulator always runs its cycle loop on
+// the calling goroutine. Run independent configurations concurrently for
+// multi-core throughput (campaign -jobs, or several sttsimd workers).
 //
-// Two caveats at n > 1: a run with Config.Obs set is forced sequential (the
-// trace sink and sampling registry are single-writer), and a custom
-// GeneratorFactory must hand every core its own generator state, since cores
-// tick concurrently during phase A of the two-phase cycle (DESIGN.md §18).
-func SetParallelism(n int) {
-	if n < 1 {
-		n = 1
-	}
-	parWorkers.Store(int32(n))
-}
-
-// Parallelism returns the current intra-run worker count.
-func Parallelism() int {
-	if n := parWorkers.Load(); n > 1 {
-		return int(n)
-	}
-	return 1
-}
+// Deprecated: there is no intra-run parallelism to configure.
+func SetParallelism(n int) {}

@@ -118,7 +118,6 @@ func RunContext(ctx context.Context, cfg Config) (res *Result, err error) {
 	if serr != nil {
 		return nil, serr
 	}
-	defer s.Close()
 	cfg = s.cfg // defaults applied
 	// Router-protocol violations deep in the NoC still panic (they indicate
 	// simulator bugs, not modeled faults); convert them into the same
@@ -152,12 +151,6 @@ func RunContext(ctx context.Context, cfg Config) (res *Result, err error) {
 // result snapshots the measurement window.
 func (s *Simulator) result() *Result {
 	cycles := s.cfg.MeasureCycles
-	// Fold the per-bank gap histograms (populated during the parallel bank
-	// phase) into the run-wide histogram in ascending bank order; integer
-	// counts make the merge bit-identical to shared accumulation.
-	for _, h := range s.bankHists {
-		s.gapHist.Merge(h)
-	}
 	r := &Result{
 		Config:    s.cfg,
 		Cycles:    cycles,

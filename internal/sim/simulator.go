@@ -10,7 +10,6 @@ import (
 	"sttsim/internal/mem"
 	"sttsim/internal/noc"
 	"sttsim/internal/obs"
-	"sttsim/internal/par"
 	"sttsim/internal/stats"
 	"sttsim/internal/workload"
 )
@@ -74,24 +73,11 @@ type Simulator struct {
 
 	now uint64
 
-	// Two-phase tick execution state (DESIGN.md §18): the worker pool shards
-	// the core and bank phases (and, via Network.SetWorkers, the NoC phases);
-	// nil runs the exact sequential loop. phaseNow plus the pre-bound
-	// corePhase/bankPhase closures keep dispatch allocation-free.
-	workers   *par.Pool
-	phaseNow  uint64
-	corePhase func(worker, workers int)
-	bankPhase func(worker, workers int)
-
-	// Measurement state. Access-after-write gaps are observed per bank during
-	// the parallel bank phase (bankHists), then folded into gapHist in
-	// ascending bank order at result time — integer counts, so the merge is
-	// bit-identical to a shared histogram.
-	latency   stats.LatencyBreakdown
-	gapHist   *stats.Histogram
-	bankHists []*stats.Histogram
-	hopReqs   [4]stats.Accumulator // buffered requests H hops from their dst, H=1..3
-	tsacks    []*noc.Packet
+	// Measurement state.
+	latency stats.LatencyBreakdown
+	gapHist *stats.Histogram
+	hopReqs [4]stats.Accumulator // buffered requests H hops from their dst, H=1..3
+	tsacks  []*noc.Packet
 }
 
 // mcWrapper adapts mem.MemController to the network: it retries quota-
@@ -126,19 +112,6 @@ func New(cfg Config) (*Simulator, error) {
 		am:      am,
 		pool:    noc.NewPacketPool(),
 		gapHist: stats.NewGapHistogram(),
-	}
-
-	// Intra-run parallelism (SetParallelism). Observed runs are forced
-	// sequential: the trace sink and sampling registry are single-writer, and
-	// keeping them out of the parallel phases means the hot path never buffers
-	// observer events. A nil pool is the exact sequential loop.
-	parN := Parallelism()
-	if cfg.Obs != nil {
-		parN = 1
-	}
-	s.workers = par.New(parN)
-	if parN > 1 {
-		s.pool.SetConcurrent(true)
 	}
 
 	// Fault campaign: build the engine up front so configuration errors
@@ -254,7 +227,6 @@ func New(cfg Config) (*Simulator, error) {
 	if err != nil {
 		return nil, err
 	}
-	s.net.SetWorkers(s.workers)
 	if cfg.Scheme == SchemeSTT4TSBRCA {
 		s.rca = core.NewRCAEstimator(s.net)
 		tech := cfg.BankTech()
@@ -310,8 +282,7 @@ func New(cfg Config) (*Simulator, error) {
 		}
 		s.banks[i] = cache.NewBankControllerMapped(node, bank, am)
 		s.banks[i].UsePool(s.pool)
-		s.bankHists = append(s.bankHists, stats.NewGapHistogram())
-		s.banks[i].SetGapHistogram(s.bankHists[i])
+		s.banks[i].SetGapHistogram(s.gapHist)
 		if s.tracer != nil {
 			s.banks[i].SetTracer(s.tracer)
 		}
@@ -359,27 +330,8 @@ func New(cfg Config) (*Simulator, error) {
 			sharedDone = true
 		}
 	}
-	// Preloads touch only each bank's own tag slab, so they shard cleanly;
-	// the installed tag state is order-independent (disjoint banks).
-	s.workers.Run(func(worker, workers int) {
-		lo, hi := par.Span(len(batches), worker, workers)
-		for b := lo; b < hi; b++ {
-			s.banks[b].PreloadBatch(batches[b])
-		}
-	})
-
-	// Pre-bound phase closures for the two parallel phases of Step.
-	s.corePhase = func(worker, workers int) {
-		lo, hi := par.Span(len(s.cores), worker, workers)
-		for _, c := range s.cores[lo:hi] {
-			c.Tick(s.phaseNow)
-		}
-	}
-	s.bankPhase = func(worker, workers int) {
-		lo, hi := par.Span(len(s.banks), worker, workers)
-		for _, bc := range s.banks[lo:hi] {
-			bc.Tick(s.phaseNow)
-		}
+	for b, lines := range batches {
+		s.banks[b].PreloadBatch(lines)
 	}
 
 	s.wireDelivery()
@@ -387,10 +339,10 @@ func New(cfg Config) (*Simulator, error) {
 	return s, nil
 }
 
-// Close releases the simulator's worker pool. Callers that construct with
-// New directly should Close when done; Run/RunContext do it automatically.
-// A sequential simulator holds no resources and Close is a no-op.
-func (s *Simulator) Close() { s.workers.Close() }
+// Close is a no-op: a Simulator holds no resources beyond memory.
+//
+// Deprecated: there is nothing to release; callers need not call Close.
+func (s *Simulator) Close() {}
 
 // prioritizerShim lets the RCA arbiter be installed after network
 // construction.
@@ -517,12 +469,12 @@ func (s *Simulator) Step() error {
 		}
 	}
 
-	// Cores issue and retire (phase A — each core touches only its own state,
-	// drawing packets from the shared pool, which is lock-guarded when
-	// parallel); their new requests then enter the network in ascending core
-	// order, so packet IDs are assigned exactly as the sequential loop would.
-	s.phaseNow = now
-	s.workers.Run(s.corePhase)
+	// Cores issue and retire (phase A — each core touches only its own
+	// state); their new requests then enter the network in ascending core
+	// order.
+	for _, c := range s.cores {
+		c.Tick(now)
+	}
 	for _, c := range s.cores {
 		for _, p := range c.Outbox() {
 			s.net.Inject(p, now)
@@ -544,10 +496,11 @@ func (s *Simulator) Step() error {
 	}
 
 	// Banks service accesses and emit responses/memory traffic (phase A —
-	// each bank owns its queues, array model, gap histogram shard and fault
-	// stream); outboxes then drain in ascending bank order.
-	s.phaseNow = now
-	s.workers.Run(s.bankPhase)
+	// each bank owns its queues, array model and fault stream); outboxes then
+	// drain in ascending bank order.
+	for _, bc := range s.banks {
+		bc.Tick(now)
+	}
 	for _, bc := range s.banks {
 		for _, p := range bc.Outbox() {
 			s.net.Inject(p, now)

@@ -7,7 +7,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math/rand"
 	"net/http"
 	"net/url"
 	"strconv"
@@ -28,11 +27,9 @@ type Client struct {
 	hc   *http.Client
 
 	maxAttempts  int
-	backoffBase  time.Duration
-	backoffCap   time.Duration
+	backoff      Backoff
 	pollInterval time.Duration
 	logf         func(format string, args ...any)
-	rand         func() float64 // jitter source, test hook
 }
 
 // Option customizes a Client.
@@ -51,10 +48,10 @@ func WithRetry(attempts int, base, cap time.Duration) Option {
 			c.maxAttempts = attempts
 		}
 		if base > 0 {
-			c.backoffBase = base
+			c.backoff.Base = base
 		}
 		if cap > 0 {
-			c.backoffCap = cap
+			c.backoff.Max = cap
 		}
 	}
 }
@@ -83,11 +80,9 @@ func New(baseURL string, opts ...Option) (*Client, error) {
 		base:         strings.TrimRight(baseURL, "/"),
 		hc:           &http.Client{Timeout: 30 * time.Second},
 		maxAttempts:  4,
-		backoffBase:  100 * time.Millisecond,
-		backoffCap:   5 * time.Second,
+		backoff:      Backoff{Base: 100 * time.Millisecond, Max: 5 * time.Second},
 		pollInterval: 100 * time.Millisecond,
 		logf:         func(string, ...any) {},
-		rand:         rand.Float64,
 	}
 	for _, opt := range opts {
 		opt(c)
@@ -313,19 +308,15 @@ func (c *Client) attempt(ctx context.Context, method, path string, body []byte) 
 }
 
 // backoffDelay computes the sleep before retry number n (0-based): the
-// server's Retry-After hint when it gave one, else equal-jitter exponential
-// backoff from backoffBase capped at backoffCap.
+// client's Backoff delay, floored by the server's Retry-After hint when it
+// gave one.
 func (c *Client) backoffDelay(n int, lastErr error) time.Duration {
+	var retryAfter time.Duration
 	var apiErr *APIError
-	if errors.As(lastErr, &apiErr) && apiErr.RetryAfter > 0 {
-		return time.Duration(apiErr.RetryAfter) * time.Second
+	if errors.As(lastErr, &apiErr) {
+		retryAfter = time.Duration(apiErr.RetryAfter) * time.Second
 	}
-	d := c.backoffBase << uint(n)
-	if d > c.backoffCap || d <= 0 {
-		d = c.backoffCap
-	}
-	half := d / 2
-	return half + time.Duration(c.rand()*float64(half))
+	return c.backoff.Delay(n, retryAfter)
 }
 
 // retryable reports whether an attempt error may succeed on retry: transport

@@ -88,23 +88,6 @@ func TestSubmitDoesNotRetryClientErrors(t *testing.T) {
 	}
 }
 
-func TestRetryAfterHintDrivesBackoff(t *testing.T) {
-	c, err := New("http://localhost:1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := c.backoffDelay(0, &APIError{StatusCode: 429, RetryAfter: 2}); d != 2*time.Second {
-		t.Errorf("backoffDelay with Retry-After 2 = %s, want 2s", d)
-	}
-	// Without a hint: equal-jitter exponential, never above the cap.
-	c.rand = func() float64 { return 1 }
-	for n := 0; n < 20; n++ {
-		if d := c.backoffDelay(n, errors.New("boom")); d > c.backoffCap {
-			t.Errorf("backoffDelay(%d) = %s exceeds cap %s", n, d, c.backoffCap)
-		}
-	}
-}
-
 func TestWaitPollsToTerminal(t *testing.T) {
 	var polls atomic.Int64
 	c, _ := newTestClient(t, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {

@@ -37,10 +37,6 @@ cd "$(dirname "$0")/.."
 
 BASELINE=BENCH_baseline.json
 BENCHES=(BenchmarkTracingDisabled BenchmarkSteadyStateCycle BenchmarkFullRun/wb)
-# Informational rows: the same FullRun under the intra-run worker pool (-par).
-# Recorded on -update and reported on every run, but never gating — speedup
-# depends on the host's core count, which a checked-in baseline cannot pin.
-PAR_BENCHES=(BenchmarkFullRunPar/wb-2 BenchmarkFullRunPar/wb-4)
 COUNT=6
 BENCHTIME=500ms
 # Wall-clock gate: loose enough to ignore scheduler jitter on a busy host
@@ -65,12 +61,10 @@ run_bench() {
             -benchmem -benchtime "$BENCHTIME" -count "$COUNT" .
         go test -run '^$' -bench '^BenchmarkFullRun$/^wb$' \
             -benchmem -benchtime "$BENCHTIME" -count "$COUNT" .
-        go test -run '^$' -bench '^BenchmarkFullRunPar$/^wb-[24]$' \
-            -benchmem -benchtime "$BENCHTIME" -count "$COUNT" .
     } | awk -v procs="${GOMAXPROCS:-$(nproc)}" '$2 ~ /^[0-9]+$/ && $4 == "ns/op" {
             # Strip exactly the -GOMAXPROCS suffix (absent when procs is 1):
-            # a blanket -[0-9]+$ strip would also eat the worker count in
-            # sub-benchmark names like FullRunPar/wb-2.
+            # a blanket -[0-9]+$ strip would also eat a sub-benchmark name
+            # that itself ends in -<digits>.
             name = $1
             if (procs > 1) sub("-" procs "$", "", name)
             print name, $3, $5, $7
@@ -83,7 +77,7 @@ col_min() {
 }
 
 samples="$(run_bench)"
-for bench in "${BENCHES[@]}" "${PAR_BENCHES[@]}"; do
+for bench in "${BENCHES[@]}"; do
     n="$(printf '%s\n' "$samples" | awk -v b="$bench" '$1 == b' | wc -l)"
     if [[ "$n" -lt "$COUNT" ]]; then
         echo "bench_guard: expected $COUNT samples of ${bench}, got $n" >&2
@@ -95,7 +89,7 @@ if [[ "${1:-}" == "-update" ]]; then
     {
         printf '{\n  "host": "%s",\n  "benchmarks": [\n' "$host_key"
         sep=''
-        for bench in "${BENCHES[@]}" "${PAR_BENCHES[@]}"; do
+        for bench in "${BENCHES[@]}"; do
             printf '%s    {"name": "%s", "ns_per_op": %s, "bytes_per_op": %s, "allocs_per_op": %s}' \
                 "$sep" "$bench" \
                 "$(col_min "$samples" "$bench" 2)" \
@@ -106,7 +100,7 @@ if [[ "${1:-}" == "-update" ]]; then
         printf '\n  ]\n}\n'
     } > "$BASELINE"
     echo "bench_guard: baseline updated on ${host_key}:"
-    for bench in "${BENCHES[@]}" "${PAR_BENCHES[@]}"; do
+    for bench in "${BENCHES[@]}"; do
         echo "  ${bench}: $(col_min "$samples" "$bench" 2) ns/op, $(col_min "$samples" "$bench" 3) B/op, $(col_min "$samples" "$bench" 4) allocs/op"
     done
     exit 0
@@ -188,20 +182,6 @@ for bench in "${BENCHES[@]}"; do
     else
         echo "bench_guard: FAIL — ${bench}: ${ns} ns/op vs baseline ${base_ns} ns/op (${pct}% > +${TOLERANCE_PCT}%)" >&2
         wc_fail=1
-    fi
-done
-
-# Informational -par rows: reported for visibility, never failing. The useful
-# signal is the ratio against BenchmarkFullRun/wb on a multi-core host.
-for bench in "${PAR_BENCHES[@]}"; do
-    base_ns="$(base_field "$bench" 1)"
-    ns="$(col_min "$samples" "$bench" 2)"
-    allocs="$(col_min "$samples" "$bench" 4)"
-    if [[ -z "$base_ns" ]]; then
-        echo "bench_guard: info — ${bench}: ${ns} ns/op, ${allocs} allocs/op (no baseline row yet; recorded on next -update)"
-    else
-        pct="$(awk -v ns="$ns" -v base="$base_ns" 'BEGIN { printf "%+.2f", (ns/base - 1) * 100 }')"
-        echo "bench_guard: info — ${bench}: ${ns} ns/op vs baseline ${base_ns} (${pct}%), ${allocs} allocs/op (not gated)"
     fi
 done
 }
