@@ -181,11 +181,11 @@ func BenchmarkFullRun(b *testing.B) {
 // BenchmarkNetworkTick measures the idle+loaded cycle cost of the full
 // 128-router network.
 func BenchmarkNetworkTick(b *testing.B) {
-	routing, err := noc.NewRouting(noc.PathAllTSVs, nil)
+	routing, err := noc.NewRoutingTopo(noc.DefaultTopology(), noc.PathAllTSVs, nil)
 	must(b, err)
 	n, err := noc.NewNetwork(noc.Config{Routing: routing})
 	must(b, err)
-	for d := noc.NodeID(0); d < noc.NumNodes; d++ {
+	for d := noc.NodeID(0); int(d) < n.NumNodes(); d++ {
 		n.SetDeliver(d, func(*noc.Packet, uint64) {})
 	}
 	now := uint64(0)
@@ -242,7 +242,8 @@ func BenchmarkBufferedBankService(b *testing.B) {
 
 // BenchmarkGenerator measures per-instruction workload generation cost.
 func BenchmarkGenerator(b *testing.B) {
-	g := workload.NewGenerator(workload.MustByName("tpcc"), 0, workload.ModeShared, 1)
+	prof := workload.MustByName("tpcc")
+	g := workload.NewGeneratorBanks(prof, 0, workload.ModeShared, 1, prof.MissRatio(), noc.DefaultTopology().NumBanks())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		g.Next()
@@ -342,7 +343,7 @@ func BenchmarkAblations(b *testing.B) {
 func BenchmarkTraceRecordReplay(b *testing.B) {
 	prof := workload.MustByName("tpcc")
 	for i := 0; i < b.N; i++ {
-		gen := workload.NewGenerator(prof, 0, workload.ModeShared, uint64(i+1))
+		gen := workload.NewGeneratorBanks(prof, 0, workload.ModeShared, uint64(i+1), prof.MissRatio(), noc.DefaultTopology().NumBanks())
 		var buf bytes.Buffer
 		must(b, trace.Record(gen, 100000, &buf, trace.Meta{Name: "tpcc"}))
 		tr, err := trace.Load(&buf)

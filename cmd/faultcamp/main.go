@@ -34,18 +34,8 @@ import (
 	"sttsim/internal/workload"
 )
 
-// schemeNames maps the flag spellings onto the six schemes.
-var schemeNames = map[string]sim.Scheme{
-	"sram": sim.SchemeSRAM64TSB,
-	"stt":  sim.SchemeSTT64TSB,
-	"4tsb": sim.SchemeSTT4TSB,
-	"ss":   sim.SchemeSTT4TSBSS,
-	"rca":  sim.SchemeSTT4TSBRCA,
-	"wb":   sim.SchemeSTT4TSBWB,
-}
-
 func main() {
-	schemeFlag := flag.String("scheme", "wb", "scheme: sram, stt, 4tsb, ss, rca, wb")
+	schemeFlag := flag.String("scheme", "wb", "scheme: sram, stt64, stt4, ss, rca, wb")
 	bench := flag.String("bench", "tpcc", "benchmark name (Table 3)")
 	rate := flag.Float64("rate", 0, "raw STT-RAM write error rate (per array write)")
 	killTSBs := flag.Int("kill-tsbs", 0, "number of region TSBs to kill (regions 0..n-1)")
@@ -80,9 +70,9 @@ func main() {
 		return
 	}
 
-	scheme, ok := schemeNames[strings.ToLower(*schemeFlag)]
-	if !ok {
-		fmt.Fprintf(os.Stderr, "faultcamp: unknown scheme %q\n", *schemeFlag)
+	scheme, err := sim.ParseScheme(*schemeFlag)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "faultcamp: %v\n", err)
 		os.Exit(2)
 	}
 	prof, err := workload.ByName(*bench)
@@ -101,7 +91,7 @@ func main() {
 		// on the never-completing loads, the system quiesces, and the
 		// watchdog fires.
 		fc.PortFaults = append(fc.PortFaults, fault.PortFault{
-			Cycle: *killCycle, Node: noc.NodeID(noc.LayerSize + 27), Port: noc.PortLocal,
+			Cycle: *killCycle, Node: noc.DefaultTopology().Below(27), Port: noc.PortLocal,
 		})
 	}
 

@@ -49,15 +49,6 @@ type jsonReport struct {
 	ArbiterDelayDecisions uint64    `json:"arbiter_delay_decisions,omitempty"`
 }
 
-var schemeFlags = map[string]sim.Scheme{
-	"sram":  sim.SchemeSRAM64TSB,
-	"stt64": sim.SchemeSTT64TSB,
-	"stt4":  sim.SchemeSTT4TSB,
-	"ss":    sim.SchemeSTT4TSBSS,
-	"rca":   sim.SchemeSTT4TSBRCA,
-	"wb":    sim.SchemeSTT4TSBWB,
-}
-
 func main() {
 	os.Exit(run())
 }
@@ -106,9 +97,9 @@ func run() int {
 		}
 	}()
 
-	scheme, ok := schemeFlags[strings.ToLower(*schemeName)]
-	if !ok {
-		fmt.Fprintf(os.Stderr, "unknown scheme %q (want sram|stt64|stt4|ss|rca|wb)\n", *schemeName)
+	scheme, err := sim.ParseScheme(*schemeName)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		return 2
 	}
 
@@ -272,7 +263,6 @@ func run() int {
 			return 1
 		}
 	}
-	_ = noc.NumNodes
 	return 0
 }
 

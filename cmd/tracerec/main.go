@@ -65,9 +65,10 @@ func record(bench string, n uint64, dir string, seed uint64) error {
 		return err
 	}
 	mode := workload.ModeFor(prof.Suite)
+	topo := noc.DefaultTopology()
 	var total int64
-	for core := 0; core < noc.LayerSize; core++ {
-		gen := workload.NewGenerator(prof, core, mode, seed)
+	for core := 0; core < topo.NumCores(); core++ {
+		gen := workload.NewGeneratorBanks(prof, core, mode, seed, prof.MissRatio(), topo.NumBanks())
 		f, err := os.Create(tracePath(dir, core))
 		if err != nil {
 			return err
@@ -85,13 +86,13 @@ func record(bench string, n uint64, dir string, seed uint64) error {
 		}
 	}
 	fmt.Printf("recorded %d instructions x %d cores of %s into %s (%.1f MB)\n",
-		n, noc.LayerSize, bench, dir, float64(total)/1e6)
+		n, topo.NumCores(), bench, dir, float64(total)/1e6)
 	return nil
 }
 
 func loadAll(dir string) ([]*trace.Trace, error) {
-	traces := make([]*trace.Trace, noc.LayerSize)
-	for core := 0; core < noc.LayerSize; core++ {
+	traces := make([]*trace.Trace, noc.DefaultTopology().NumCores())
+	for core := range traces {
 		f, err := os.Open(tracePath(dir, core))
 		if err != nil {
 			return nil, err
@@ -116,15 +117,10 @@ func info(dir string) error {
 	return nil
 }
 
-var schemes = map[string]sim.Scheme{
-	"sram": sim.SchemeSRAM64TSB, "stt64": sim.SchemeSTT64TSB, "stt4": sim.SchemeSTT4TSB,
-	"ss": sim.SchemeSTT4TSBSS, "rca": sim.SchemeSTT4TSBRCA, "wb": sim.SchemeSTT4TSBWB,
-}
-
 func replay(dir, schemeName string) error {
-	scheme, ok := schemes[schemeName]
-	if !ok {
-		return fmt.Errorf("unknown scheme %q", schemeName)
+	scheme, err := sim.ParseScheme(schemeName)
+	if err != nil {
+		return err
 	}
 	traces, err := loadAll(dir)
 	if err != nil {

@@ -18,44 +18,12 @@ const (
 // Associativity is the L2 set associativity (Table 1: 16-way).
 const Associativity = 16
 
-// NumBanks is the number of L2 banks in the paper's default topology (one
-// per cache-layer node).
-const NumBanks = noc.LayerSize
-
-// MCNodes are the cache-layer nodes hosting the four memory controllers in
-// the default topology (Table 1: one at each corner node in layer 2).
-var MCNodes = [4]noc.NodeID{64, 71, 120, 127}
-
 // LineAddr returns the cache-line address (byte address without the offset
 // bits).
 func LineAddr(addr uint64) uint64 { return addr >> LineShift }
 
 // AddrOfLine is the inverse of LineAddr.
 func AddrOfLine(line uint64) uint64 { return line << LineShift }
-
-// HomeBank returns the bank index (0..63) owning the address in the default
-// topology; consecutive lines stripe across banks.
-func HomeBank(addr uint64) int { return int(LineAddr(addr) % NumBanks) }
-
-// HomeNode returns the cache-layer node owning the address in the default
-// topology.
-func HomeNode(addr uint64) noc.NodeID {
-	return noc.NodeID(HomeBank(addr)) + noc.LayerSize
-}
-
-// MCNode returns the memory controller serving the address in the default
-// topology (interleaved above the bank bits so each MC sees every bank's
-// traffic).
-func MCNode(addr uint64) noc.NodeID {
-	return MCNodes[(LineAddr(addr)/NumBanks)%4]
-}
-
-// ComposeAddr builds a byte address that maps to the given bank with the
-// given line index within that bank — the workload generator's way of
-// steering traffic at specific banks (default topology).
-func ComposeAddr(bank int, lineInBank uint64) uint64 {
-	return AddrOfLine(lineInBank*NumBanks + uint64(bank%NumBanks))
-}
 
 // SetsFor returns the number of sets a bank of the given capacity has.
 func SetsFor(capacityMB int) int {
@@ -64,29 +32,17 @@ func SetsFor(capacityMB int) int {
 
 // AddrMap is the topology-aware address interleaving: which bank owns a
 // line, which node hosts that bank, and which memory controller serves it.
-// The package-level HomeBank/HomeNode/MCNode helpers are the default-shape
-// view; topology-aware code holds an AddrMap. The default map reproduces
-// them bit for bit.
 type AddrMap struct {
 	topo     noc.Topology
 	numBanks uint64
 	mcs      []noc.NodeID
 }
 
-// defaultAddrMap backs the nil-map fallbacks so default-topology callers
-// need no plumbing.
-var defaultAddrMap = NewAddrMap(noc.DefaultTopology())
-
-// DefaultAddrMap returns the shared map for the paper's 8x8x2 shape; do not
-// modify it.
-func DefaultAddrMap() *AddrMap { return defaultAddrMap }
-
 // NewAddrMap derives the address interleaving for a topology. Lines stripe
 // across all banks (every cache layer); the four memory controllers sit at
 // the corners of the first cache layer, which reproduces the paper's
-// {64, 71, 120, 127} placement at the default shape.
+// {64, 71, 120, 127} placement at the default shape. topo must be valid.
 func NewAddrMap(topo noc.Topology) *AddrMap {
-	topo = topo.OrDefault()
 	return &AddrMap{
 		topo:     topo,
 		numBanks: uint64(topo.NumBanks()),

@@ -161,18 +161,10 @@ type pendingMiss struct {
 	lineAddr uint64
 }
 
-// NewBankController builds the bank at the given cache-layer node using the
-// supplied timing model (plain or write-buffered, SRAM or STT-RAM).
-func NewBankController(node noc.NodeID, bank *mem.Bank) *BankController {
-	return NewBankControllerMapped(node, bank, DefaultAddrMap())
-}
-
-// NewBankControllerMapped builds the bank using an explicit topology address
-// map (non-default shapes).
-func NewBankControllerMapped(node noc.NodeID, bank *mem.Bank, am *AddrMap) *BankController {
-	if am == nil {
-		am = DefaultAddrMap()
-	}
+// NewBankController builds the bank at the given cache-layer node of am's
+// topology using the supplied timing model (plain or write-buffered, SRAM or
+// STT-RAM).
+func NewBankController(node noc.NodeID, bank *mem.Bank, am *AddrMap) *BankController {
 	if am.Topology().Layer(node) == 0 {
 		panic(fmt.Sprintf("cache: bank controller node %d is not in a cache layer", node))
 	}

@@ -9,6 +9,9 @@ import (
 	"sttsim/internal/stats"
 )
 
+// paperMap is the address interleaving of the paper's 8x8x2 shape.
+var paperMap = NewAddrMap(noc.DefaultTopology())
+
 func TestAddressMapping(t *testing.T) {
 	if LineAddr(0x1000) != 0x1000>>LineShift {
 		t.Fatal("LineAddr shift wrong")
@@ -17,34 +20,41 @@ func TestAddressMapping(t *testing.T) {
 		t.Fatal("AddrOfLine not inverse of LineAddr for aligned addresses")
 	}
 	// Consecutive lines stripe across banks.
-	b0 := HomeBank(AddrOfLine(100))
-	b1 := HomeBank(AddrOfLine(101))
-	if (b0+1)%NumBanks != b1 {
+	b0 := paperMap.HomeBank(AddrOfLine(100))
+	b1 := paperMap.HomeBank(AddrOfLine(101))
+	if (b0+1)%paperMap.NumBanks() != b1 {
 		t.Fatalf("banks not striped: %d then %d", b0, b1)
 	}
-	if HomeNode(AddrOfLine(100)) != noc.NodeID(b0)+noc.LayerSize {
+	if paperMap.HomeNode(AddrOfLine(100)) != noc.NodeID(b0)+64 {
 		t.Fatal("HomeNode disagrees with HomeBank")
 	}
 }
 
 func TestComposeAddr(t *testing.T) {
-	for bank := 0; bank < NumBanks; bank += 7 {
+	for bank := 0; bank < paperMap.NumBanks(); bank += 7 {
 		for line := uint64(0); line < 5; line++ {
-			addr := ComposeAddr(bank, line)
-			if HomeBank(addr) != bank {
-				t.Fatalf("ComposeAddr(%d, %d) landed in bank %d", bank, line, HomeBank(addr))
+			addr := paperMap.ComposeAddr(bank, line)
+			if got := paperMap.HomeBank(addr); got != bank {
+				t.Fatalf("ComposeAddr(%d, %d) landed in bank %d", bank, line, got)
 			}
 		}
 	}
 }
 
 func TestMCNodeInterleaving(t *testing.T) {
+	// Table 1: one controller at each corner node of the cache layer.
+	mcNodes := []noc.NodeID{64, 71, 120, 127}
+	for i, n := range paperMap.MCNodeList() {
+		if n != mcNodes[i] {
+			t.Fatalf("MC nodes %v, want %v", paperMap.MCNodeList(), mcNodes)
+		}
+	}
 	seen := map[noc.NodeID]bool{}
 	for i := uint64(0); i < 1024; i++ {
-		n := MCNode(AddrOfLine(i * NumBanks))
+		n := paperMap.MCNode(AddrOfLine(i * uint64(paperMap.NumBanks())))
 		seen[n] = true
 		ok := false
-		for _, mc := range MCNodes {
+		for _, mc := range mcNodes {
 			if mc == n {
 				ok = true
 			}
@@ -53,8 +63,8 @@ func TestMCNodeInterleaving(t *testing.T) {
 			t.Fatalf("MCNode returned non-controller node %d", n)
 		}
 	}
-	if len(seen) != len(MCNodes) {
-		t.Fatalf("only %d of %d MCs used", len(seen), len(MCNodes))
+	if len(seen) != len(mcNodes) {
+		t.Fatalf("only %d of %d MCs used", len(seen), len(mcNodes))
 	}
 }
 
@@ -70,11 +80,11 @@ func TestSetsFor(t *testing.T) {
 // testBank builds a controller on bank 0 (node 64) with the given tech.
 func testBank(t *testing.T, tech mem.Tech) *BankController {
 	t.Helper()
-	return NewBankController(64, mem.NewBank(tech))
+	return NewBankController(64, mem.NewBank(tech), paperMap)
 }
 
 // bankAddr returns an address homed at bank 0 with the given per-bank line.
-func bankAddr(line uint64) uint64 { return ComposeAddr(0, line) }
+func bankAddr(line uint64) uint64 { return paperMap.ComposeAddr(0, line) }
 
 // runUntil advances the controller until n packets have been emitted.
 func runUntil(t *testing.T, bc *BankController, now *uint64, n int) []*noc.Packet {
@@ -100,8 +110,8 @@ func TestReadMissFetchesFromMemory(t *testing.T) {
 	if pkts[0].Kind != noc.KindMemReq {
 		t.Fatalf("expected MemReq, got %s", pkts[0].Kind)
 	}
-	if pkts[0].Dst != MCNode(addr) {
-		t.Fatalf("MemReq to %d, want %d", pkts[0].Dst, MCNode(addr))
+	if want := paperMap.MCNode(addr); pkts[0].Dst != want {
+		t.Fatalf("MemReq to %d, want %d", pkts[0].Dst, want)
 	}
 	st := bc.Stats()
 	if st.ReadMisses != 1 || st.ReadHits != 0 {
@@ -291,7 +301,7 @@ func TestBankControllerRejectsWrongLayer(t *testing.T) {
 			t.Fatal("expected panic for core-layer node")
 		}
 	}()
-	NewBankController(3, mem.NewBank(mem.SRAM))
+	NewBankController(3, mem.NewBank(mem.SRAM), paperMap)
 }
 
 func TestBankControllerRejectsUnknownKind(t *testing.T) {

@@ -105,7 +105,7 @@ func TestArbiterPriorityDemotion(t *testing.T) {
 
 func TestRCAEstimatorTracksCongestion(t *testing.T) {
 	l := mustLayout(t, 4, PlacementCorner)
-	routing, err := noc.NewRouting(noc.PathRegionTSBs, l.TSBMap())
+	routing, err := noc.NewRoutingTopo(paper, noc.PathRegionTSBs, l.TSBMap())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +147,7 @@ func TestRCAEstimatorTracksCongestion(t *testing.T) {
 }
 
 func TestWBEstimatorTagAndAck(t *testing.T) {
-	e := NewWBEstimatorWindow(3)
+	e := NewWBEstimatorFor(3, paper.NumNodes())
 	if e.Name() != "WB" {
 		t.Fatal("name")
 	}
@@ -180,7 +180,7 @@ func TestWBEstimatorTagAndAck(t *testing.T) {
 }
 
 func TestWBEstimatorTimestampRollover(t *testing.T) {
-	e := NewWBEstimatorWindow(1)
+	e := NewWBEstimatorFor(1, paper.NumNodes())
 	p := &noc.Packet{Kind: noc.KindReadReq, Src: 7, Dst: 75}
 	e.MaybeTag(91, p, 250) // timestamp = 250
 	ack := &noc.Packet{Kind: noc.KindTSAck, Timestamp: p.Timestamp, TagChild: 75}
@@ -197,7 +197,7 @@ func TestWBCongestionDelaysLonger(t *testing.T) {
 	// release happens when now + 4 + cong >= busyUntil.
 	l := mustLayout(t, 4, PlacementCorner)
 	pm, _ := BuildParentMap(l, DefaultHops)
-	e := NewWBEstimatorWindow(1000) // never tags during this test
+	e := NewWBEstimatorFor(1000, paper.NumNodes()) // never tags during this test
 	a := NewBankAwareArbiter(pm, e, 3, 33)
 	w := &noc.Packet{Kind: noc.KindWriteReq, Src: 7, Dst: 75}
 	a.OnForward(91, w, 0) // busyUntil = 37
@@ -228,7 +228,7 @@ func TestFigure2Schedule(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	routing, err := noc.NewRouting(noc.PathRegionTSBs, l.TSBMap())
+	routing, err := noc.NewRoutingTopo(paper, noc.PathRegionTSBs, l.TSBMap())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -47,7 +47,6 @@ func (p Placement) String() string {
 // reproduces the paper's 8x8 tilings exactly: 4 regions -> 4x4 tiles,
 // 8 -> 4x2, 16 -> 2x2.
 func RegionTile(topo noc.Topology, regions int) (w, h int, err error) {
-	topo = topo.OrDefault()
 	if regions != 4 && regions != 8 && regions != 16 {
 		return 0, 0, fmt.Errorf("core: unsupported region count %d (want 4, 8, or 16)", regions)
 	}
@@ -106,16 +105,9 @@ type RegionLayout struct {
 	tsbMap    map[noc.NodeID]noc.NodeID // cache node -> core TSB node
 }
 
-// NewRegionLayout partitions the paper's 8x8 cache layer into the given
+// NewRegionLayoutTopo partitions a topology's cache layers into the given
 // number of regions (4, 8, or 16) with the given TSB placement.
-func NewRegionLayout(regions int, placement Placement) (*RegionLayout, error) {
-	return NewRegionLayoutTopo(noc.DefaultTopology(), regions, placement)
-}
-
-// NewRegionLayoutTopo partitions an arbitrary topology's cache layers into
-// regions with the given TSB placement.
 func NewRegionLayoutTopo(topo noc.Topology, regions int, placement Placement) (*RegionLayout, error) {
-	topo = topo.OrDefault()
 	tileW, tileH, err := RegionTile(topo, regions)
 	if err != nil {
 		return nil, err
@@ -207,7 +199,7 @@ func (l *RegionLayout) TSBCore(r int) noc.NodeID { return l.tsbCore[r] }
 // not modify it.
 func (l *RegionLayout) TSBCores() []noc.NodeID { return l.tsbCore }
 
-// TSBMap returns the cache-node-to-TSB mapping in the form noc.NewRouting
+// TSBMap returns the cache-node-to-TSB mapping in the form noc.NewRoutingTopo
 // expects. The map is shared; do not modify it.
 func (l *RegionLayout) TSBMap() map[noc.NodeID]noc.NodeID { return l.tsbMap }
 

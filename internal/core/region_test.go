@@ -7,18 +7,21 @@ import (
 	"sttsim/internal/noc"
 )
 
+// paper is the 8x8x2 shape every pinned Figure 4 node number refers to.
+var paper = noc.DefaultTopology()
+
 func mustLayout(t *testing.T, regions int, p Placement) *RegionLayout {
 	t.Helper()
-	l, err := NewRegionLayout(regions, p)
+	l, err := NewRegionLayoutTopo(paper, regions, p)
 	if err != nil {
-		t.Fatalf("NewRegionLayout(%d, %s): %v", regions, p, err)
+		t.Fatalf("NewRegionLayoutTopo(%d, %s): %v", regions, p, err)
 	}
 	return l
 }
 
 func TestRegionLayoutRejectsBadCounts(t *testing.T) {
 	for _, r := range []int{0, 1, 2, 3, 5, 7, 32, 64} {
-		if _, err := NewRegionLayout(r, PlacementCorner); err == nil {
+		if _, err := NewRegionLayoutTopo(paper, r, PlacementCorner); err == nil {
 			t.Errorf("expected error for %d regions", r)
 		}
 	}
@@ -54,8 +57,8 @@ func TestRegionPartitionIsComplete(t *testing.T) {
 		for _, p := range []Placement{PlacementCorner, PlacementStagger} {
 			l := mustLayout(t, regions, p)
 			counts := make(map[int]int)
-			for off := 0; off < noc.LayerSize; off++ {
-				d := noc.NodeID(off) + noc.LayerSize
+			for off := 0; off < paper.LayerSize(); off++ {
+				d := paper.BankNode(off)
 				r := l.RegionOf(d)
 				if r < 0 || r >= regions {
 					t.Fatalf("%d/%s: region of %d out of range: %d", regions, p, d, r)
@@ -63,15 +66,15 @@ func TestRegionPartitionIsComplete(t *testing.T) {
 				counts[r]++
 				// The TSB must serve the bank's own region.
 				tsb := l.TSBOf(d)
-				if tsb.Layer() != 0 {
+				if paper.Layer(tsb) != 0 {
 					t.Fatalf("%d/%s: TSB %d not in core layer", regions, p, tsb)
 				}
-				if l.RegionOf(tsb.Below()) != r {
+				if l.RegionOf(paper.Below(tsb)) != r {
 					t.Fatalf("%d/%s: TSB %d of bank %d lies in region %d, want %d",
-						regions, p, tsb, d, l.RegionOf(tsb.Below()), r)
+						regions, p, tsb, d, l.RegionOf(paper.Below(tsb)), r)
 				}
 			}
-			per := noc.LayerSize / regions
+			per := paper.LayerSize() / regions
 			for r := 0; r < regions; r++ {
 				if counts[r] != per {
 					t.Fatalf("%d/%s: region %d has %d banks, want %d", regions, p, r, counts[r], per)
@@ -86,10 +89,10 @@ func TestStaggerUsesDistinctColumns(t *testing.T) {
 		l := mustLayout(t, regions, PlacementStagger)
 		cols := make(map[int]bool)
 		for _, tsb := range l.TSBCores() {
-			if cols[tsb.X()] {
-				t.Fatalf("%d regions: column %d reused by staggered TSBs", regions, tsb.X())
+			if cols[paper.X(tsb)] {
+				t.Fatalf("%d regions: column %d reused by staggered TSBs", regions, paper.X(tsb))
 			}
-			cols[tsb.X()] = true
+			cols[paper.X(tsb)] = true
 		}
 	}
 }
@@ -97,8 +100,8 @@ func TestStaggerUsesDistinctColumns(t *testing.T) {
 func TestCornerTSBsHugTheCenter(t *testing.T) {
 	l := mustLayout(t, 4, PlacementCorner)
 	for _, tsb := range l.TSBCores() {
-		if tsb.X() < 3 || tsb.X() > 4 || tsb.Y() < 3 || tsb.Y() > 4 {
-			t.Errorf("corner TSB %d at (%d,%d) is not adjacent to the center", tsb, tsb.X(), tsb.Y())
+		if paper.X(tsb) < 3 || paper.X(tsb) > 4 || paper.Y(tsb) < 3 || paper.Y(tsb) > 4 {
+			t.Errorf("corner TSB %d at (%d,%d) is not adjacent to the center", tsb, paper.X(tsb), paper.Y(tsb))
 		}
 	}
 }
@@ -149,7 +152,7 @@ func TestParentMapCoverageProperty(t *testing.T) {
 		regions := regionOpts[int(rr)%len(regionOpts)]
 		placement := Placement(int(rp) % 2)
 		hops := 1 + int(rh)%3
-		l, err := NewRegionLayout(regions, placement)
+		l, err := NewRegionLayoutTopo(paper, regions, placement)
 		if err != nil {
 			return false
 		}
@@ -164,21 +167,21 @@ func TestParentMapCoverageProperty(t *testing.T) {
 				if pm.ParentOf(child) != parent {
 					return false
 				}
-				if parent.Layer() == 0 {
+				if paper.Layer(parent) == 0 {
 					// Core TSB parent: the child must be closer than H hops
 					// to the TSB entry.
 					if parent != l.TSBOf(child) {
 						return false
 					}
-					if noc.SameLayerDistance(parent.Below(), child) >= hops {
+					if paper.SameLayerDistance(paper.Below(parent), child) >= hops {
 						return false
 					}
 				} else {
-					if noc.SameLayerDistance(parent, child) != hops {
+					if paper.SameLayerDistance(parent, child) != hops {
 						return false
 					}
 					// Parent lies on the TSB-entry-to-child X-Y route.
-					path := noc.XYPath(l.TSBOf(child).Below(), child)
+					path := paper.XYPath(paper.Below(l.TSBOf(child)), child)
 					found := false
 					for _, n := range path {
 						if n == parent {
@@ -192,7 +195,7 @@ func TestParentMapCoverageProperty(t *testing.T) {
 				}
 			}
 		}
-		return covered == noc.LayerSize
+		return covered == paper.LayerSize()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)

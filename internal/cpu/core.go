@@ -92,18 +92,8 @@ type Core struct {
 	stats  Stats
 }
 
-// NewCore builds core id attached to its core-layer node in the default
-// topology.
-func NewCore(id int, gen Generator) *Core {
-	return NewCoreMapped(id, gen, cache.DefaultAddrMap())
-}
-
-// NewCoreMapped builds the core with an explicit topology address map
-// (non-default shapes).
-func NewCoreMapped(id int, gen Generator, am *cache.AddrMap) *Core {
-	if am == nil {
-		am = cache.DefaultAddrMap()
-	}
+// NewCore builds core id attached to its core-layer node of am's topology.
+func NewCore(id int, gen Generator, am *cache.AddrMap) *Core {
 	if id < 0 || id >= am.Topology().NumCores() {
 		panic(fmt.Sprintf("cpu: core id %d out of range", id))
 	}

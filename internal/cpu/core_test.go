@@ -23,6 +23,9 @@ func (g *scriptGen) Next() Access {
 	return a
 }
 
+// paperMap is the address interleaving of the paper's 8x8x2 shape.
+var paperMap = cache.NewAddrMap(noc.DefaultTopology())
+
 func TestNewCoreValidation(t *testing.T) {
 	for _, id := range []int{-1, 64, 100} {
 		func() {
@@ -31,17 +34,17 @@ func TestNewCoreValidation(t *testing.T) {
 					t.Errorf("expected panic for core id %d", id)
 				}
 			}()
-			NewCore(id, &scriptGen{})
+			NewCore(id, &scriptGen{}, paperMap)
 		}()
 	}
-	c := NewCore(5, &scriptGen{})
+	c := NewCore(5, &scriptGen{}, paperMap)
 	if c.ID() != 5 || c.Node() != 5 {
 		t.Fatal("id/node mismatch")
 	}
 }
 
 func TestNonMemoryIPCIsTwo(t *testing.T) {
-	c := NewCore(0, &scriptGen{}) // empty script: all AccessNone
+	c := NewCore(0, &scriptGen{}, paperMap) // empty script: all AccessNone
 	for now := uint64(0); now < 100; now++ {
 		c.Tick(now)
 	}
@@ -52,10 +55,10 @@ func TestNonMemoryIPCIsTwo(t *testing.T) {
 }
 
 func TestSerializingLoadBlocksIssue(t *testing.T) {
-	addr := cache.ComposeAddr(3, 10)
+	addr := paperMap.ComposeAddr(3, 10)
 	c := NewCore(0, &scriptGen{script: []Access{
 		{Kind: AccessRead, Addr: addr, Serialize: true},
-	}})
+	}}, paperMap)
 	for now := uint64(0); now < 50; now++ {
 		c.Tick(now)
 	}
@@ -63,8 +66,8 @@ func TestSerializingLoadBlocksIssue(t *testing.T) {
 	if len(out) != 1 || out[0].Kind != noc.KindReadReq {
 		t.Fatalf("expected one ReadReq, got %v", out)
 	}
-	if out[0].Dst != cache.HomeNode(addr) {
-		t.Fatalf("request to %d, want %d", out[0].Dst, cache.HomeNode(addr))
+	if out[0].Dst != paperMap.HomeNode(addr) {
+		t.Fatalf("request to %d, want %d", out[0].Dst, paperMap.HomeNode(addr))
 	}
 	blockedAt := c.Committed()
 	// No response: the core must stay blocked.
@@ -90,9 +93,9 @@ func TestSerializingLoadBlocksIssue(t *testing.T) {
 func TestPostedWritesDoNotBlock(t *testing.T) {
 	script := make([]Access, 10)
 	for i := range script {
-		script[i] = Access{Kind: AccessWrite, Addr: cache.ComposeAddr(i, 5)}
+		script[i] = Access{Kind: AccessWrite, Addr: paperMap.ComposeAddr(i, 5)}
 	}
-	c := NewCore(1, &scriptGen{script: script})
+	c := NewCore(1, &scriptGen{script: script}, paperMap)
 	for now := uint64(0); now < 100; now++ {
 		c.Tick(now)
 	}
@@ -116,9 +119,9 @@ func TestPostedWritesDoNotBlock(t *testing.T) {
 func TestStoreBufferLimitStallsIssue(t *testing.T) {
 	script := make([]Access, MaxL1MSHRs+10)
 	for i := range script {
-		script[i] = Access{Kind: AccessWrite, Addr: cache.ComposeAddr(i%64, uint64(i))}
+		script[i] = Access{Kind: AccessWrite, Addr: paperMap.ComposeAddr(i%64, uint64(i))}
 	}
-	c := NewCore(2, &scriptGen{script: script})
+	c := NewCore(2, &scriptGen{script: script}, paperMap)
 	for now := uint64(0); now < 200; now++ {
 		c.Tick(now)
 	}
@@ -153,12 +156,12 @@ func TestStoreBufferLimitStallsIssue(t *testing.T) {
 }
 
 func TestLoadMergeToSameLine(t *testing.T) {
-	addr := cache.ComposeAddr(4, 20)
+	addr := paperMap.ComposeAddr(4, 20)
 	c := NewCore(3, &scriptGen{script: []Access{
 		{Kind: AccessRead, Addr: addr},
 		{Kind: AccessRead, Addr: addr},
 		{Kind: AccessRead, Addr: addr + 4}, // same line (offset within 128B)
-	}})
+	}}, paperMap)
 	for now := uint64(0); now < 50; now++ {
 		c.Tick(now)
 	}
@@ -185,7 +188,7 @@ func TestLoadMergeToSameLine(t *testing.T) {
 }
 
 func TestInvalidationAcked(t *testing.T) {
-	c := NewCore(6, &scriptGen{})
+	c := NewCore(6, &scriptGen{}, paperMap)
 	c.OnPacket(&noc.Packet{Kind: noc.KindInv, Src: 91, Addr: 0x1000}, 5)
 	out := c.Outbox()
 	if len(out) != 1 || out[0].Kind != noc.KindInvAck || out[0].Dst != 91 {
@@ -200,9 +203,9 @@ func TestOneMemOpPerCycle(t *testing.T) {
 	// Two memory ops fetched in the same cycle: only one issues per cycle
 	// (Table 1).
 	c := NewCore(7, &scriptGen{script: []Access{
-		{Kind: AccessWrite, Addr: cache.ComposeAddr(0, 1)},
-		{Kind: AccessWrite, Addr: cache.ComposeAddr(1, 1)},
-	}})
+		{Kind: AccessWrite, Addr: paperMap.ComposeAddr(0, 1)},
+		{Kind: AccessWrite, Addr: paperMap.ComposeAddr(1, 1)},
+	}}, paperMap)
 	c.Tick(0)
 	if got := len(c.Outbox()); got != 1 {
 		t.Fatalf("cycle 0 issued %d mem ops, want 1", got)
@@ -214,8 +217,8 @@ func TestOneMemOpPerCycle(t *testing.T) {
 }
 
 func TestResetStatsKeepsArchitecturalState(t *testing.T) {
-	addr := cache.ComposeAddr(2, 2)
-	c := NewCore(8, &scriptGen{script: []Access{{Kind: AccessRead, Addr: addr, Serialize: true}}})
+	addr := paperMap.ComposeAddr(2, 2)
+	c := NewCore(8, &scriptGen{script: []Access{{Kind: AccessRead, Addr: addr, Serialize: true}}}, paperMap)
 	for now := uint64(0); now < 20; now++ {
 		c.Tick(now)
 	}
@@ -245,15 +248,15 @@ func TestCoreProgressProperty(t *testing.T) {
 			switch b % 4 {
 			case 0:
 				script = append(script, Access{Kind: AccessRead,
-					Addr: cache.ComposeAddr(int(b), uint64(b)), Serialize: b%8 == 0})
+					Addr: paperMap.ComposeAddr(int(b), uint64(b)), Serialize: b%8 == 0})
 			case 1:
 				script = append(script, Access{Kind: AccessWrite,
-					Addr: cache.ComposeAddr(int(b), uint64(b))})
+					Addr: paperMap.ComposeAddr(int(b), uint64(b))})
 			default:
 				script = append(script, Access{Kind: AccessNone})
 			}
 		}
-		c := NewCore(0, &scriptGen{script: script})
+		c := NewCore(0, &scriptGen{script: script}, paperMap)
 		type echo struct {
 			p  *noc.Packet
 			at uint64

@@ -94,30 +94,24 @@ func TopoAxis(shapes ...string) (Axis, error) {
 	}, nil
 }
 
-// schemesByName accepts the CLI spellings used across the drivers.
-var schemesByName = map[string]sim.Scheme{
-	"sram": sim.SchemeSRAM64TSB, "stt64": sim.SchemeSTT64TSB,
-	"stt4": sim.SchemeSTT4TSB, "ss": sim.SchemeSTT4TSBSS,
-	"rca": sim.SchemeSTT4TSBRCA, "wb": sim.SchemeSTT4TSBWB,
-}
-
-// SchemeAxis sweeps design schemes by their CLI names
-// (sram|stt64|stt4|ss|rca|wb).
+// SchemeAxis sweeps design schemes by name (see sim.ParseScheme); the names
+// as given are the axis values.
 func SchemeAxis(names ...string) (Axis, error) {
 	if len(names) == 0 {
 		return Axis{}, fmt.Errorf("explore: scheme axis needs at least one scheme")
 	}
 	for _, n := range names {
-		if _, ok := schemesByName[n]; !ok {
-			return Axis{}, fmt.Errorf("explore: unknown scheme %q (want sram|stt64|stt4|ss|rca|wb)", n)
+		if _, err := sim.ParseScheme(n); err != nil {
+			return Axis{}, fmt.Errorf("explore: %w", err)
 		}
 	}
 	return Axis{
 		Name:   "scheme",
 		Values: names,
 		apply: func(c *sim.Config, v string) error {
-			c.Scheme = schemesByName[v]
-			return nil
+			var err error
+			c.Scheme, err = sim.ParseScheme(v)
+			return err
 		},
 		spec: func(s *api.JobSpec, v string) error {
 			s.Scheme = v

@@ -15,7 +15,7 @@ import "fmt"
 // The simulator's tests call this after traffic storms; it is cheap enough
 // to call every few thousand cycles in long soak runs.
 func (n *Network) CheckInvariants() error {
-	for id := NodeID(0); id < NumNodes; id++ {
+	for id := NodeID(0); int(id) < n.numNodes; id++ {
 		r := n.routers[id]
 		buffered := 0
 		needVC := 0

@@ -6,11 +6,27 @@ import (
 	"testing"
 )
 
-// corrupt builds a fresh network, verifies it is self-consistent, applies the
-// corruption, and asserts CheckInvariants reports a violation containing want.
-func corrupt(t *testing.T, want string, mutate func(n *Network)) {
+// wide is a 256-node shape: its cache layer lies wholly above node 127, the
+// paper shape's last node, so it catches loops bounded by the default size.
+var wide = Topology{MeshX: 16, MeshY: 8, Layers: 2}
+
+// networkOn builds an unrestricted-routing network over topo.
+func networkOn(t *testing.T, topo Topology, cfg Config) *Network {
 	t.Helper()
-	n := mustNetwork(t, Config{})
+	r, err := NewRoutingTopo(topo, PathAllTSVs, nil)
+	if err != nil {
+		t.Fatalf("NewRoutingTopo(%s): %v", topo, err)
+	}
+	cfg.Routing = r
+	return mustNetwork(t, cfg)
+}
+
+// corrupt builds a fresh network over topo, verifies it is self-consistent,
+// applies the corruption, and asserts CheckInvariants reports a violation
+// containing want.
+func corrupt(t *testing.T, topo Topology, want string, mutate func(n *Network)) {
+	t.Helper()
+	n := networkOn(t, topo, Config{})
 	if err := n.CheckInvariants(); err != nil {
 		t.Fatalf("fresh network violates invariants: %v", err)
 	}
@@ -25,14 +41,14 @@ func corrupt(t *testing.T, want string, mutate func(n *Network)) {
 }
 
 func TestAuditDetectsUnownedFlits(t *testing.T) {
-	corrupt(t, "no owner", func(n *Network) {
+	corrupt(t, paper, "no owner", func(n *Network) {
 		st := &n.routers[0].in[PortLocal].vcs[0]
 		st.buf = append(st.buf, Flit{Pkt: &Packet{ID: 1}, Seq: 1})
 	})
 }
 
 func TestAuditDetectsInterleavedPackets(t *testing.T) {
-	corrupt(t, "interleaved", func(n *Network) {
+	corrupt(t, paper, "interleaved", func(n *Network) {
 		a, b := &Packet{ID: 1}, &Packet{ID: 2}
 		st := &n.routers[0].in[PortLocal].vcs[0]
 		st.pkt = a
@@ -44,13 +60,17 @@ func TestAuditDetectsInterleavedPackets(t *testing.T) {
 }
 
 func TestAuditDetectsCreditLeak(t *testing.T) {
-	corrupt(t, "credits+buffered", func(n *Network) {
-		n.routers[0].in[PortLocal].feeder.credits[0]--
-	})
+	for _, topo := range []Topology{paper, wide} {
+		// The last router: node 255 on the wide shape.
+		last := NodeID(topo.NumNodes() - 1)
+		corrupt(t, topo, "credits+buffered", func(n *Network) {
+			n.routers[last].in[PortLocal].feeder.credits[0]--
+		})
+	}
 }
 
 func TestAuditDetectsNegativeCredits(t *testing.T) {
-	corrupt(t, "negative credits", func(n *Network) {
+	corrupt(t, paper, "negative credits", func(n *Network) {
 		// Conservation must hold (credits + buffered == depth) for the
 		// negative-credit branch to be the one that fires.
 		p := &Packet{ID: 1}
@@ -64,39 +84,47 @@ func TestAuditDetectsNegativeCredits(t *testing.T) {
 }
 
 func TestAuditDetectsBufferedFlitCounterDrift(t *testing.T) {
-	corrupt(t, "buffered flits", func(n *Network) {
+	corrupt(t, paper, "buffered flits", func(n *Network) {
 		n.routers[5].bufferedFlits++
 	})
 }
 
 func TestAuditDetectsNeedVCCounterDrift(t *testing.T) {
-	corrupt(t, "awaiting allocation", func(n *Network) {
+	corrupt(t, paper, "awaiting allocation", func(n *Network) {
 		n.routers[5].needVC++
 	})
 }
 
 func TestStepReturnsDeadlockErrorWithStalledDump(t *testing.T) {
-	n := mustNetwork(t, Config{WatchdogCycles: 200})
-	n.SetDeliver(64, func(*Packet, uint64) {})
-	// A permanently shut gate wedges everything headed to node 64.
-	n.NIC(64).SetGate(func(p *Packet, now uint64) bool { return false })
+	for _, topo := range []Topology{paper, wide} {
+		stalledDump(t, topo)
+	}
+}
+
+func stalledDump(t *testing.T, topo Topology) {
+	n := networkOn(t, topo, Config{WatchdogCycles: 200})
+	// Bank 0's node: 64 on the paper's shape, 128 on the wide one.
+	sink := topo.BankNode(0)
+	n.SetDeliver(sink, func(*Packet, uint64) {})
+	// A permanently shut gate wedges everything headed to the sink.
+	n.NIC(sink).SetGate(func(p *Packet, now uint64) bool { return false })
 	for i := 0; i < 40; i++ {
-		n.Inject(&Packet{Kind: KindWriteReq, Src: NodeID(i % 8), Dst: 64}, 0)
+		n.Inject(&Packet{Kind: KindWriteReq, Src: NodeID(i % 8), Dst: sink}, 0)
 	}
 	var dl *DeadlockError
 	for now := uint64(0); now < 5000; now++ {
 		if err := n.Step(now); err != nil {
 			if !errors.As(err, &dl) {
-				t.Fatalf("Step returned %T, want *DeadlockError", err)
+				t.Fatalf("%s: Step returned %T, want *DeadlockError", topo, err)
 			}
 			break
 		}
 	}
 	if dl == nil {
-		t.Fatal("watchdog never fired on a permanently blocked network")
+		t.Fatalf("%s: watchdog never fired on a permanently blocked network", topo)
 	}
 	if dl.InFlight != n.InFlight() || dl.InFlight == 0 {
-		t.Fatalf("deadlock reports %d in flight, network says %d", dl.InFlight, n.InFlight())
+		t.Fatalf("%s: deadlock reports %d in flight, network says %d", topo, dl.InFlight, n.InFlight())
 	}
 	// A wormhole packet spread across several routers appears once per VC it
 	// occupies, so compare distinct packets, not dump entries.
@@ -105,19 +133,25 @@ func TestStepReturnsDeadlockErrorWithStalledDump(t *testing.T) {
 		ids[p.ID] = true
 	}
 	if len(ids) != dl.InFlight {
-		t.Fatalf("packet dump covers %d distinct packets of %d in flight", len(ids), dl.InFlight)
+		t.Fatalf("%s: packet dump covers %d distinct packets of %d in flight", topo, len(ids), dl.InFlight)
 	}
 	if !strings.Contains(dl.Error(), "deadlock") {
-		t.Fatalf("error text %q does not say deadlock", dl.Error())
+		t.Fatalf("%s: error text %q does not say deadlock", topo, dl.Error())
 	}
-	// The dump must carry usable debugging detail.
+	// The dump must carry usable debugging detail, and reach every router
+	// holding a stalled packet, including those past node 127.
+	sawSink := false
 	for _, p := range dl.Stalled {
-		if p.Dst != 64 {
-			t.Fatalf("stalled packet bound for %d, all traffic targeted 64", p.Dst)
+		if p.Dst != sink {
+			t.Fatalf("%s: stalled packet bound for %d, all traffic targeted %d", topo, p.Dst, sink)
 		}
 		if p.Where == "" {
-			t.Fatalf("stalled packet %d has no location", p.ID)
+			t.Fatalf("%s: stalled packet %d has no location", topo, p.ID)
 		}
+		sawSink = sawSink || p.At == sink
+	}
+	if !sawSink {
+		t.Fatalf("%s: no stalled packet dumped at the sink router %d", topo, sink)
 	}
 }
 

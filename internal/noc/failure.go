@@ -32,7 +32,7 @@ func (d PacketDump) String() string {
 // then location, so dumps are deterministic.
 func (n *Network) DumpInFlight() []PacketDump {
 	var out []PacketDump
-	for id := NodeID(0); id < NumNodes; id++ {
+	for id := NodeID(0); int(id) < n.numNodes; id++ {
 		r := n.routers[id]
 		for port := Port(0); port < NumPorts; port++ {
 			ip := r.in[port]
@@ -49,7 +49,7 @@ func (n *Network) DumpInFlight() []PacketDump {
 			}
 		}
 	}
-	for id := NodeID(0); id < NumNodes; id++ {
+	for id := NodeID(0); int(id) < n.numNodes; id++ {
 		nic := n.nics[id]
 		for c := range nic.queues {
 			for _, p := range nic.queues[c] {

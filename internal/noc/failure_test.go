@@ -23,12 +23,12 @@ func TestFailDownValidation(t *testing.T) {
 
 func TestFailDownRefusesLastSurvivor(t *testing.T) {
 	r := mustRouting(t, PathAllTSVs, nil)
-	for i := 0; i < LayerSize-1; i++ {
+	for i := 0; i < paper.LayerSize()-1; i++ {
 		if err := r.FailDown(NodeID(i)); err != nil {
 			t.Fatalf("kill %d: %v", i, err)
 		}
 	}
-	if err := r.FailDown(NodeID(LayerSize - 1)); err == nil {
+	if err := r.FailDown(NodeID(paper.LayerSize() - 1)); err == nil {
 		t.Fatal("killing the last down-link must be rejected")
 	}
 }
@@ -45,19 +45,19 @@ func TestDeadDownDetourIsLoopFree(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for src := NodeID(0); src < LayerSize; src++ {
-		for dst := NodeID(LayerSize); dst < NumNodes; dst++ {
+	for src := NodeID(0); int(src) < paper.LayerSize(); src++ {
+		for dst := NodeID(paper.LayerSize()); int(dst) < paper.NumNodes(); dst++ {
 			p := &Packet{Kind: KindReadReq, Class: ClassReq, Src: src, Dst: dst}
 			at := src
 			for hops := 0; at != dst; hops++ {
-				if hops > 3*MeshDim {
+				if hops > 3*paper.MeshX {
 					t.Fatalf("%d->%d: no arrival after %d hops (loop?)", src, dst, hops)
 				}
 				port := r.NextPort(at, p)
 				if port == PortDown && r.DownDead(at) {
 					t.Fatalf("%d->%d: routed down a dead link at %d", src, dst, at)
 				}
-				next := Neighbor(at, port)
+				next := paper.Neighbor(at, port)
 				if next < 0 {
 					t.Fatalf("%d->%d: routed off the mesh at %d via %s", src, dst, at, port)
 				}

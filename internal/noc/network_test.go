@@ -44,7 +44,7 @@ func TestNetworkConfigValidation(t *testing.T) {
 	if _, err := NewNetwork(Config{}); err == nil {
 		t.Fatal("expected error for missing routing")
 	}
-	r, _ := NewRouting(PathAllTSVs, nil)
+	r, _ := NewRoutingTopo(paper, PathAllTSVs, nil)
 	if _, err := NewNetwork(Config{Routing: r, VCsPerClass: []int{1, 2}}); err == nil {
 		t.Fatal("expected error for short VCsPerClass")
 	}
@@ -139,7 +139,7 @@ func TestManyToOneConservation(t *testing.T) {
 	// Every core floods the same cache bank with write data packets;
 	// wormhole backpressure must not lose or duplicate anything.
 	injected := 0
-	for src := NodeID(0); src < LayerSize; src++ {
+	for src := NodeID(0); int(src) < paper.LayerSize(); src++ {
 		n.Inject(&Packet{Kind: KindWriteReq, Src: src, Dst: 64}, 0)
 		injected++
 	}
@@ -238,7 +238,7 @@ func TestForEachBufferedPacket(t *testing.T) {
 		step(t, n, now)
 	}
 	found := 0
-	for id := NodeID(0); id < NumNodes; id++ {
+	for id := NodeID(0); int(id) < n.NumNodes(); id++ {
 		n.Router(id).ForEachBufferedPacket(func(p *Packet) { found++ })
 	}
 	if found == 0 {
@@ -345,7 +345,7 @@ func TestNetworkConservationProperty(t *testing.T) {
 		n := mustNetwork(t, Config{})
 		want := make(map[NodeID]int)
 		got := make(map[NodeID]int)
-		for d := NodeID(0); d < NumNodes; d++ {
+		for d := NodeID(0); int(d) < n.NumNodes(); d++ {
 			d := d
 			n.NIC(d).SetDeliver(func(p *Packet, now uint64) { got[d]++ })
 		}
@@ -355,15 +355,15 @@ func TestNetworkConservationProperty(t *testing.T) {
 			var src, dst NodeID
 			switch ClassFor(k) {
 			case ClassReq:
-				src = NodeID(int(s.src) % LayerSize)
-				dst = NodeID(int(s.dst)%LayerSize) + LayerSize
+				src = NodeID(int(s.src) % paper.LayerSize())
+				dst = NodeID(int(s.dst)%paper.LayerSize() + paper.LayerSize())
 			case ClassResp, ClassCoh:
 				if k == KindInvAck {
-					src = NodeID(int(s.src) % LayerSize)
-					dst = NodeID(int(s.dst)%LayerSize) + LayerSize
+					src = NodeID(int(s.src) % paper.LayerSize())
+					dst = NodeID(int(s.dst)%paper.LayerSize() + paper.LayerSize())
 				} else {
-					src = NodeID(int(s.src)%LayerSize) + LayerSize
-					dst = NodeID(int(s.dst) % LayerSize)
+					src = NodeID(int(s.src)%paper.LayerSize() + paper.LayerSize())
+					dst = NodeID(int(s.dst) % paper.LayerSize())
 				}
 			}
 			n.Inject(&Packet{Kind: k, Src: src, Dst: dst}, 0)
@@ -418,7 +418,7 @@ func TestInvariantsHoldFreshAndAfterTraffic(t *testing.T) {
 func TestInvariantsUnderGatingProperty(t *testing.T) {
 	f := func(raw []uint8, gateMask uint8) bool {
 		n := mustNetwork(t, Config{})
-		for d := NodeID(0); d < NumNodes; d++ {
+		for d := NodeID(0); int(d) < n.NumNodes(); d++ {
 			n.SetDeliver(d, func(*Packet, uint64) {})
 		}
 		// A rotating gate: each bank admits demand requests only when the

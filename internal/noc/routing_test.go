@@ -9,9 +9,9 @@ import (
 // is split into quadrants and each quadrant's TSB sits at the quadrant corner
 // nearest the mesh center (core node 27 serves region 0 per Section 3.4).
 func paperTSBMap() map[NodeID]NodeID {
-	m := make(map[NodeID]NodeID, LayerSize)
-	for d := NodeID(LayerSize); d < NumNodes; d++ {
-		x, y := d.X(), d.Y()
+	m := make(map[NodeID]NodeID, paper.LayerSize())
+	for d := NodeID(paper.LayerSize()); int(d) < paper.NumNodes(); d++ {
+		x, y := paper.X(d), paper.Y(d)
 		switch {
 		case x < 4 && y < 4:
 			m[d] = 27 // (3,3)
@@ -28,9 +28,9 @@ func paperTSBMap() map[NodeID]NodeID {
 
 func mustRouting(t *testing.T, mode RequestPathMode, tsb map[NodeID]NodeID) *Routing {
 	t.Helper()
-	r, err := NewRouting(mode, tsb)
+	r, err := NewRoutingTopo(paper, mode, tsb)
 	if err != nil {
-		t.Fatalf("NewRouting: %v", err)
+		t.Fatalf("NewRoutingTopo: %v", err)
 	}
 	return r
 }
@@ -48,15 +48,15 @@ func nodesEqual(a, b []NodeID) bool {
 }
 
 func TestNewRoutingValidation(t *testing.T) {
-	if _, err := NewRouting(PathRegionTSBs, nil); err == nil {
+	if _, err := NewRoutingTopo(paper, PathRegionTSBs, nil); err == nil {
 		t.Fatal("expected error for missing TSB map")
 	}
 	m := paperTSBMap()
 	m[64] = 64 // cache-layer node is not a valid TSB
-	if _, err := NewRouting(PathRegionTSBs, m); err == nil {
+	if _, err := NewRoutingTopo(paper, PathRegionTSBs, m); err == nil {
 		t.Fatal("expected error for cache-layer TSB node")
 	}
-	if _, err := NewRouting(PathAllTSVs, nil); err != nil {
+	if _, err := NewRoutingTopo(paper, PathAllTSVs, nil); err != nil {
 		t.Fatalf("allTSV should not need a map: %v", err)
 	}
 }
@@ -70,7 +70,7 @@ func TestUnrestrictedRequestRouteIsZXY(t *testing.T) {
 	if path[0] != 63 || path[1] != 127 {
 		t.Fatalf("path should descend immediately: %v", path)
 	}
-	want := append([]NodeID{63}, XYPath(127, 64)...)
+	want := append([]NodeID{63}, paper.XYPath(127, 64)...)
 	if !nodesEqual(path, want) {
 		t.Fatalf("path = %v, want %v", path, want)
 	}
@@ -94,7 +94,7 @@ func TestRegionRequestRouteViaTSB(t *testing.T) {
 			if n == 91 {
 				saw91 = true
 			}
-			if n.Layer() == 1 && !saw91 {
+			if paper.Layer(n) == 1 && !saw91 {
 				t.Fatalf("src %d: entered cache layer before TSB router 91: %v", c.src, path)
 			}
 		}
@@ -113,7 +113,7 @@ func TestResponsesUseOwnTSV(t *testing.T) {
 	if path[1] != 25 {
 		t.Fatalf("response should ascend immediately at 89 -> 25, got %v", path)
 	}
-	want := append([]NodeID{89}, XYPath(25, 7)...)
+	want := append([]NodeID{89}, paper.XYPath(25, 7)...)
 	if !nodesEqual(path, want) {
 		t.Fatalf("path = %v, want %v", path, want)
 	}
@@ -134,7 +134,7 @@ func TestMemTrafficStaysInCacheLayer(t *testing.T) {
 	r := mustRouting(t, PathRegionTSBs, paperTSBMap())
 	p := &Packet{Kind: KindMemReq, Src: 91, Dst: 64}
 	for _, n := range r.Path(p) {
-		if n.Layer() != 1 {
+		if paper.Layer(n) != 1 {
 			t.Fatalf("memory request left the cache layer: %v", r.Path(p))
 		}
 	}
@@ -162,17 +162,17 @@ func TestRoutingTerminationProperty(t *testing.T) {
 		var src, dst NodeID
 		switch k {
 		case KindReadReq, KindWriteReq:
-			src = NodeID(int(rs) % LayerSize)
-			dst = NodeID(int(rd)%LayerSize) + LayerSize
+			src = NodeID(int(rs) % paper.LayerSize())
+			dst = NodeID(int(rd)%paper.LayerSize() + paper.LayerSize())
 		case KindReadResp, KindWriteAck, KindInv:
-			src = NodeID(int(rs)%LayerSize) + LayerSize
-			dst = NodeID(int(rd) % LayerSize)
+			src = NodeID(int(rs)%paper.LayerSize() + paper.LayerSize())
+			dst = NodeID(int(rd) % paper.LayerSize())
 		case KindInvAck:
-			src = NodeID(int(rs) % LayerSize)
-			dst = NodeID(int(rd)%LayerSize) + LayerSize
+			src = NodeID(int(rs) % paper.LayerSize())
+			dst = NodeID(int(rd)%paper.LayerSize() + paper.LayerSize())
 		default: // TSAck: cache layer to cache or core layer
-			src = NodeID(int(rs)%LayerSize) + LayerSize
-			dst = NodeID(int(rd) % NumNodes)
+			src = NodeID(int(rs)%paper.LayerSize() + paper.LayerSize())
+			dst = NodeID(int(rd) % paper.NumNodes())
 		}
 		if src == dst {
 			return true
@@ -196,7 +196,7 @@ func TestRoutingTerminationProperty(t *testing.T) {
 		if regionMode && (k == KindReadReq || k == KindWriteReq) {
 			// Must descend exactly at the TSB node.
 			for i := 1; i < len(path); i++ {
-				if path[i].Layer() == 1 && path[i-1].Layer() == 0 {
+				if paper.Layer(path[i]) == 1 && paper.Layer(path[i-1]) == 0 {
 					return path[i-1] == r.TSBOf(dst)
 				}
 			}

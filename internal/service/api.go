@@ -55,19 +55,6 @@ const (
 	StateCancelled = api.StateCancelled
 )
 
-// schemesByName accepts both the CLI spellings and the paper's names.
-var schemesByName = map[string]sim.Scheme{
-	"sram": sim.SchemeSRAM64TSB, "stt64": sim.SchemeSTT64TSB,
-	"stt4": sim.SchemeSTT4TSB, "ss": sim.SchemeSTT4TSBSS,
-	"rca": sim.SchemeSTT4TSBRCA, "wb": sim.SchemeSTT4TSBWB,
-}
-
-func init() {
-	for _, s := range sim.AllSchemes() {
-		schemesByName[strings.ToLower(s.String())] = s
-	}
-}
-
 var suitesByName = map[string]workload.Suite{
 	"":       workload.SuiteSPEC,
 	"spec":   workload.SuiteSPEC,
@@ -79,9 +66,9 @@ var suitesByName = map[string]workload.Suite{
 // is a client error (HTTP 400): the spec either named something unknown or
 // failed sim.Config.Validate's bounds.
 func SpecConfig(s JobSpec) (sim.Config, error) {
-	scheme, ok := schemesByName[strings.ToLower(s.Scheme)]
-	if !ok {
-		return sim.Config{}, fmt.Errorf("unknown scheme %q (want sram|stt64|stt4|ss|rca|wb)", s.Scheme)
+	scheme, err := sim.ParseScheme(s.Scheme)
+	if err != nil {
+		return sim.Config{}, err
 	}
 
 	var assignment workload.Assignment

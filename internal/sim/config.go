@@ -7,6 +7,7 @@ package sim
 
 import (
 	"fmt"
+	"strings"
 
 	"sttsim/internal/core"
 	"sttsim/internal/cpu"
@@ -52,6 +53,30 @@ func (s Scheme) String() string {
 		return schemeNames[s]
 	}
 	return fmt.Sprintf("Scheme(%d)", int(s))
+}
+
+// schemesByName maps every accepted spelling, lower-cased, onto its scheme:
+// the command-line names below plus the paper's names (added by init).
+var schemesByName = map[string]Scheme{
+	"sram": SchemeSRAM64TSB, "stt64": SchemeSTT64TSB, "stt4": SchemeSTT4TSB,
+	"ss": SchemeSTT4TSBSS, "rca": SchemeSTT4TSBRCA, "wb": SchemeSTT4TSBWB,
+}
+
+func init() {
+	for s, name := range schemeNames {
+		schemesByName[strings.ToLower(name)] = Scheme(s)
+	}
+}
+
+// ParseScheme resolves a scheme name, case-insensitively: a command-line
+// spelling (sram, stt64, stt4, ss, rca, wb) or the paper's name (e.g.
+// STT-RAM-4TSB-WB).
+func ParseScheme(name string) (Scheme, error) {
+	s, ok := schemesByName[strings.ToLower(name)]
+	if !ok {
+		return 0, fmt.Errorf("sim: unknown scheme %q (want sram|stt64|stt4|ss|rca|wb)", name)
+	}
+	return s, nil
 }
 
 // AllSchemes lists the six scenarios in the paper's order.
@@ -216,9 +241,6 @@ func (c Config) techProfile() (mem.Profile, bool) {
 // Topology resolves the configured network shape; unset dims take the
 // paper's 8x8x2 defaults.
 func (c Config) Topology() noc.Topology {
-	if c.MeshX == 0 && c.MeshY == 0 && c.Layers == 0 {
-		return noc.DefaultTopology()
-	}
 	t := noc.Topology{MeshX: c.MeshX, MeshY: c.MeshY, Layers: c.Layers}
 	def := noc.DefaultTopology()
 	if t.MeshX == 0 {

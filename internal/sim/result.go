@@ -213,7 +213,7 @@ func (s *Simulator) result() *Result {
 		r.Fault = &fr
 	}
 	r.Metrics = s.metrics.Log()
-	r.Energy = energy.ComputeN(s.cfg.BankTech(), r.BankStats, r.Net, cycles, s.topo.NumNodes(), energy.DefaultParams)
+	r.Energy = energy.Compute(s.cfg.BankTech(), r.BankStats, r.Net, cycles, s.topo.NumNodes(), energy.DefaultParams)
 	return r
 }
 

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"strings"
 	"testing"
 
 	"sttsim/internal/core"
@@ -39,6 +40,25 @@ func TestSchemeProperties(t *testing.T) {
 	for _, s := range AllSchemes() {
 		if s.String() == "" {
 			t.Fatal("scheme name empty")
+		}
+	}
+}
+
+// TestParseScheme: every command-line spelling and paper name resolves, in
+// any case, and the faultcamp-only spellings of old are gone.
+func TestParseScheme(t *testing.T) {
+	flags := []string{"sram", "stt64", "stt4", "ss", "rca", "wb"}
+	for i, s := range AllSchemes() {
+		for _, name := range []string{flags[i], strings.ToUpper(flags[i]), s.String(), strings.ToLower(s.String())} {
+			got, err := ParseScheme(name)
+			if err != nil || got != s {
+				t.Errorf("ParseScheme(%q) = %v, %v; want %v", name, got, err, s)
+			}
+		}
+	}
+	for _, name := range []string{"", "stt", "4tsb", "quantum", "STT-RAM"} {
+		if _, err := ParseScheme(name); err == nil {
+			t.Errorf("ParseScheme(%q) accepted", name)
 		}
 	}
 }

@@ -102,10 +102,7 @@ func New(cfg Config) (*Simulator, error) {
 	if err := topo.Validate(); err != nil {
 		return nil, err
 	}
-	am := cache.DefaultAddrMap()
-	if !topo.IsDefault() {
-		am = cache.NewAddrMap(topo)
-	}
+	am := cache.NewAddrMap(topo)
 	s := &Simulator{
 		cfg:     cfg,
 		topo:    topo,
@@ -117,7 +114,7 @@ func New(cfg Config) (*Simulator, error) {
 	// Fault campaign: build the engine up front so configuration errors
 	// surface at construction, not mid-run.
 	if cfg.Fault != nil {
-		eng, err := fault.NewEngineBanks(*cfg.Fault, cfg.Seed, topo.NumBanks())
+		eng, err := fault.NewEngine(*cfg.Fault, cfg.Seed, topo.NumBanks())
 		if err != nil {
 			return nil, err
 		}
@@ -256,7 +253,7 @@ func New(cfg Config) (*Simulator, error) {
 		if cfg.GeneratorFactory != nil {
 			gen = cfg.GeneratorFactory(i, prof, miss)
 		}
-		s.cores[i] = cpu.NewCoreMapped(i, gen, am)
+		s.cores[i] = cpu.NewCore(i, gen, am)
 		s.cores[i].UsePool(s.pool)
 	}
 
@@ -280,7 +277,7 @@ func New(cfg Config) (*Simulator, error) {
 		if cfg.EarlyWriteTermination {
 			bank.EnableEarlyTermination(cfg.Seed ^ uint64(i)*0x9E3779B97F4A7C15)
 		}
-		s.banks[i] = cache.NewBankControllerMapped(node, bank, am)
+		s.banks[i] = cache.NewBankController(node, bank, am)
 		s.banks[i].UsePool(s.pool)
 		s.banks[i].SetGapHistogram(s.gapHist)
 		if s.tracer != nil {

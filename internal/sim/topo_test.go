@@ -19,6 +19,7 @@ func TestNonDefaultTopologiesRun(t *testing.T) {
 			Assignment: workload.Homogeneous(workload.MustByName("x264")),
 			MeshX:      shape.x, MeshY: shape.y, Layers: shape.l,
 			WarmupCycles: 2000, MeasureCycles: 5000, Regions: 4,
+			AuditInterval: 500,
 		}
 		if err := cfg.Validate(); err != nil {
 			t.Fatalf("%dx%dx%d: validate: %v", shape.x, shape.y, shape.l, err)

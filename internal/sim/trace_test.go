@@ -33,7 +33,7 @@ func TestTraceReplayMatchesLive(t *testing.T) {
 	seed := cfg.withDefaults().Seed
 	traces := make([]*trace.Trace, 64)
 	for i := 0; i < 64; i++ {
-		gen := workload.NewGeneratorMiss(prof, i, cfg.Assignment.Mode, seed, miss)
+		gen := workload.NewGeneratorBanks(prof, i, cfg.Assignment.Mode, seed, miss, cfg.Topology().NumBanks())
 		var buf bytes.Buffer
 		if err := trace.Record(gen, n, &buf, trace.Meta{Name: prof.Name, Core: i, Seed: seed}); err != nil {
 			t.Fatal(err)

@@ -204,7 +204,7 @@ func (c Config) Validate() error {
 
 	if c.Fault != nil {
 		if err := c.Fault.Validate(); err != nil {
-			return &ValidationError{Field: "fault", Msg: err.Error()}
+			return &ValidationError{Field: "fault", Msg: strings.TrimPrefix(err.Error(), "fault: ")}
 		}
 		for i, f := range c.Fault.TSBFailures {
 			if f.Region >= c.Regions {

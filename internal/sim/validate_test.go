@@ -2,7 +2,9 @@ package sim
 
 import (
 	"encoding/json"
+	"errors"
 	"math"
+	"strings"
 	"testing"
 
 	"sttsim/internal/fault"
@@ -31,6 +33,13 @@ func TestValidateAcceptsDefaults(t *testing.T) {
 	cfg.HoldCap = -1 // negative disables holds — documented and legal
 	if err := cfg.Validate(); err != nil {
 		t.Fatalf("Validate(tuned config) = %v, want nil", err)
+	}
+	// A port fault past node 127 is legal on a mesh that has the node.
+	cfg = validBase()
+	cfg.MeshX, cfg.MeshY = 16, 16
+	cfg.Fault = &fault.Config{PortFaults: []fault.PortFault{{Cycle: 1, Node: 300, Port: 1, Period: 2}}}
+	if err := cfg.Validate(); err != nil {
+		t.Fatalf("Validate(16x16x2 port fault at node 300) = %v, want nil", err)
 	}
 }
 
@@ -88,6 +97,12 @@ func TestValidateRejectsHostileConfigs(t *testing.T) {
 		{"node ceiling", func(c *Config) { c.MeshX = 32; c.MeshY = 32; c.Layers = 8 }},
 		{"regions do not tile mesh", func(c *Config) { c.MeshX = 2; c.MeshY = 2; c.Regions = 16 }},
 		{"hybrid banks beyond small topo", func(c *Config) { c.MeshX = 4; c.MeshY = 4; c.HybridSRAMBanks = 17 }},
+		{"fault port 300 on the paper shape", func(c *Config) {
+			c.Fault = &fault.Config{PortFaults: []fault.PortFault{{Cycle: 1, Node: 300, Port: 1, Period: 2}}}
+		}},
+		{"negative fault port node", func(c *Config) {
+			c.Fault = &fault.Config{PortFaults: []fault.PortFault{{Cycle: 1, Node: -1, Port: 1, Period: 2}}}
+		}},
 		{"fault port beyond topo", func(c *Config) {
 			c.MeshX = 4
 			c.MeshY = 4
@@ -102,8 +117,12 @@ func TestValidateRejectsHostileConfigs(t *testing.T) {
 			if err == nil {
 				t.Fatal("hostile config passed validation")
 			}
-			if !IsValidationError(err) {
+			var ve *ValidationError
+			if !errors.As(err, &ve) {
 				t.Fatalf("rejection %v is not a *ValidationError", err)
+			}
+			if strings.HasPrefix(ve.Msg, ve.Field+":") {
+				t.Fatalf("rejection %q repeats its field name", err)
 			}
 		})
 	}

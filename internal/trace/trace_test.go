@@ -8,12 +8,16 @@ import (
 
 	"sttsim/internal/cache"
 	"sttsim/internal/cpu"
+	"sttsim/internal/noc"
 	"sttsim/internal/workload"
 )
 
+// paperBanks is the bank count of the paper's 8x8x2 system.
+var paperBanks = noc.DefaultTopology().NumBanks()
+
 func TestRoundTrip(t *testing.T) {
 	prof := workload.MustByName("tpcc")
-	gen := workload.NewGenerator(prof, 3, workload.ModeShared, 42)
+	gen := workload.NewGeneratorBanks(prof, 3, workload.ModeShared, 42, prof.MissRatio(), paperBanks)
 	var buf bytes.Buffer
 	const n = 50000
 	if err := Record(gen, n, &buf, Meta{Name: "tpcc", Core: 3, Seed: 42}); err != nil {
@@ -30,7 +34,7 @@ func TestRoundTrip(t *testing.T) {
 		t.Fatalf("meta mismatch: %+v", tr.Meta)
 	}
 	// The replayed stream must equal a fresh generator with the same seed.
-	ref := workload.NewGenerator(prof, 3, workload.ModeShared, 42)
+	ref := workload.NewGeneratorBanks(prof, 3, workload.ModeShared, 42, prof.MissRatio(), paperBanks)
 	p := NewPlayer(tr)
 	for i := 0; i < n; i++ {
 		want := ref.Next()

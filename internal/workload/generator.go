@@ -3,7 +3,6 @@ package workload
 import (
 	"sttsim/internal/cache"
 	"sttsim/internal/cpu"
-	"sttsim/internal/noc"
 )
 
 // Mode selects the address-space organization.
@@ -78,22 +77,10 @@ type Generator struct {
 	coldNext   uint64
 }
 
-// NewGenerator builds the stream for one core with the profile's native
-// (STT-RAM) miss ratio. Streams with the same (profile, core, seed) are
-// identical across runs.
-func NewGenerator(prof Profile, core int, mode Mode, seed uint64) *Generator {
-	return NewGeneratorMiss(prof, core, mode, seed, prof.MissRatio())
-}
-
-// NewGeneratorMiss builds the stream with an explicit miss ratio — the
-// simulator uses this to model the smaller SRAM L2's extra capacity misses.
-func NewGeneratorMiss(prof Profile, core int, mode Mode, seed uint64, missRatio float64) *Generator {
-	return NewGeneratorBanks(prof, core, mode, seed, missRatio, cache.NumBanks)
-}
-
-// NewGeneratorBanks builds the stream with an explicit miss ratio and bank
-// count (non-default topologies); the default count reproduces
-// NewGeneratorMiss's stream exactly.
+// NewGeneratorBanks builds the stream for one core striping over numBanks
+// banks. missRatio is the profile's native (STT-RAM) prof.MissRatio(), or a
+// higher one to model the smaller SRAM L2's extra capacity misses. Streams
+// with the same arguments are identical across runs.
 func NewGeneratorBanks(prof Profile, core int, mode Mode, seed uint64, missRatio float64, numBanks int) *Generator {
 	g := &Generator{
 		prof:      prof,
@@ -257,10 +244,14 @@ func ModeFor(s Suite) Mode {
 	return ModeShared
 }
 
-// Assignment maps each of the 64 cores to a benchmark profile.
+// coreSlots is the paper's core count (one 8x8 core layer). Larger meshes
+// reuse the slots round-robin.
+const coreSlots = 64
+
+// Assignment maps each of the paper's 64 cores to a benchmark profile.
 type Assignment struct {
 	Name     string
-	Profiles [noc.LayerSize]Profile
+	Profiles [coreSlots]Profile
 	Mode     Mode
 }
 
