@@ -203,6 +203,80 @@ func BenchmarkNetworkTick(b *testing.B) {
 	}
 }
 
+// loadedNetwork is the paper's network under steady write load: each cycle
+// one 9-flit write enters from a rotating core and targets a bank spread
+// across the cache layer, so every router's VA and SA stages have work. The
+// packets come from a pool their sinks return them to, so a warmed network
+// steps without allocating.
+type loadedNetwork struct {
+	n    *noc.Network
+	pool *noc.PacketPool
+	now  uint64
+}
+
+func newLoadedNetwork(tb testing.TB) *loadedNetwork {
+	tb.Helper()
+	topo := noc.DefaultTopology()
+	routing, err := noc.NewRoutingTopo(topo, noc.PathAllTSVs, nil)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	n, err := noc.NewNetwork(noc.Config{Routing: routing})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	l := &loadedNetwork{n: n, pool: noc.NewPacketPool()}
+	for d := noc.NodeID(0); int(d) < n.NumNodes(); d++ {
+		n.SetDeliver(d, func(p *noc.Packet, _ uint64) { l.pool.Put(p) })
+	}
+	return l
+}
+
+// cycle injects this cycle's write and steps the network once.
+func (l *loadedNetwork) cycle(tb testing.TB) {
+	topo := l.n.Topology()
+	i := int(l.now)
+	p := l.pool.Get()
+	p.Kind = noc.KindWriteReq
+	p.Src = noc.NodeID(i % topo.NumCores())
+	p.Dst = topo.BankNode((i * 7) % topo.NumBanks())
+	l.n.Inject(p, l.now)
+	if err := l.n.Step(l.now); err != nil {
+		tb.Fatal(err)
+	}
+	l.now++
+}
+
+// BenchmarkNetworkTickLoaded measures one cycle of the loaded network, the
+// cost of the routers' VC and switch allocation at steady occupancy.
+func BenchmarkNetworkTickLoaded(b *testing.B) {
+	l := newLoadedNetwork(b)
+	for i := 0; i < 2000; i++ {
+		l.cycle(b)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		l.cycle(b)
+	}
+}
+
+// TestLoadedNetworkStepAllocFree pins the warmed, loaded network cycle at
+// zero allocations, the contract BenchmarkSteadyStateCycle gates for the
+// whole simulator.
+func TestLoadedNetworkStepAllocFree(t *testing.T) {
+	l := newLoadedNetwork(t)
+	for i := 0; i < 2000; i++ {
+		l.cycle(t)
+	}
+	if n := l.n.InFlight(); n == 0 {
+		t.Fatal("warmed network is empty; the load did not build up")
+	}
+	if allocs := testing.AllocsPerRun(1000, func() { l.cycle(t) }); allocs != 0 {
+		t.Fatalf("loaded Network.Step: %v allocs/cycle, want 0", allocs)
+	}
+}
+
 // BenchmarkBankService measures the raw bank model throughput under a
 // read/write mix.
 func BenchmarkBankService(b *testing.B) {

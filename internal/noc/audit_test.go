@@ -91,7 +91,23 @@ func TestAuditDetectsBufferedFlitCounterDrift(t *testing.T) {
 
 func TestAuditDetectsNeedVCCounterDrift(t *testing.T) {
 	corrupt(t, paper, "awaiting allocation", func(n *Network) {
-		n.routers[5].needVC++
+		r := n.routers[5]
+		r.vaWait ^= r.vcBit(PortLocal, 0)
+	})
+}
+
+func TestAuditDetectsSAReadyMaskDrift(t *testing.T) {
+	for _, topo := range []Topology{paper, wide} {
+		last := NodeID(topo.NumNodes() - 1)
+		corrupt(t, topo, "saReady", func(n *Network) {
+			r := n.routers[last]
+			r.saReady ^= r.vcBit(PortLocal, n.numVCs-1)
+		})
+	}
+	// A bit for a port the router does not have is drift too: node 0 has
+	// no west neighbour, so no VC state backs this bit.
+	corrupt(t, paper, "saReady", func(n *Network) {
+		n.routers[0].saReady |= n.routers[0].vcBit(PortWest, 0)
 	})
 }
 

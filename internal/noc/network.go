@@ -182,6 +182,11 @@ func NewNetwork(cfg Config) (*Network, error) {
 		n.numVCs += vcs[c]
 		n.classHi[c] = n.numVCs
 	}
+	// The routers' allocation masks hold one bit per input VC.
+	if int(NumPorts)*n.numVCs > 64 {
+		return nil, fmt.Errorf("noc: %d VCs per port exceed the router's 64-bit VC masks (at most %d for %d ports)",
+			n.numVCs, 64/int(NumPorts), NumPorts)
+	}
 
 	// Wide TSBs are named by their core-layer node; the 256-bit bus spans
 	// the whole column, so every down-link in that (x, y) column is wide.

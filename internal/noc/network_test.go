@@ -51,6 +51,16 @@ func TestNetworkConfigValidation(t *testing.T) {
 	if _, err := NewNetwork(Config{Routing: r, VCsPerClass: []int{0, 1, 1}}); err == nil {
 		t.Fatal("expected error for empty class")
 	}
+	// 7 ports x 10 VCs overflows the routers' 64-bit VC masks; the paper's
+	// 6 VCs and the "+1 VC" design point's 7 fit.
+	if _, err := NewNetwork(Config{Routing: r, VCsPerClass: []int{5, 3, 2}}); err == nil {
+		t.Fatal("expected error for 10 VCs per port")
+	}
+	for _, vcs := range [][]int{{3, 2, 1}, {4, 2, 1}, {6, 2, 1}} {
+		if _, err := NewNetwork(Config{Routing: r, VCsPerClass: vcs}); err != nil {
+			t.Fatalf("VCsPerClass %v: %v", vcs, err)
+		}
+	}
 	if _, err := NewNetwork(Config{Routing: r, WideTSBs: []NodeID{64}}); err == nil {
 		t.Fatal("expected error for cache-layer wide TSB")
 	}

@@ -1,6 +1,9 @@
 package noc
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // PriorityHold marks a packet that must not be served at all this cycle:
 // the paper's parent routers hold requests to busy banks in the router
@@ -54,12 +57,6 @@ func (v *vcState) pop() Flit {
 type inputPort struct {
 	vcs    []vcState
 	feeder *outLink // nil for ports with no incoming link
-
-	// buffered counts flits across this port's VCs so switchAlloc can skip
-	// whole empty ports without touching their VC states; needVC counts VCs
-	// holding an unallocated header so vcAlloc can do the same.
-	buffered int
-	needVC   int
 }
 
 // outLink is one output port and the link it drives, including the
@@ -112,10 +109,18 @@ type Router struct {
 	net *Network
 	va  int // VA round-robin pointer over input VCs
 
-	// Fast-path occupancy counters so idle routers cost almost nothing.
+	// Fast-path occupancy counter so idle routers cost almost nothing.
 	bufferedFlits int // flits across all input VCs
-	needVC        int // input VCs holding a header awaiting VC allocation
 	bufCap        int // total flit-buffer capacity (fixed at construction)
+
+	// Input-VC bitmasks, bit port*numVCs+vc (NewNetwork bounds the product
+	// at 64), so the allocators walk only the VCs that can compete:
+	//   vaWait  ⇔ pkt != nil && outVC < 0 (a header awaiting VA)
+	//   saReady ⇔ pkt != nil && outVC >= 0 && len(buf) > 0
+	// acceptFlit, the VA grant and forward keep them exact; the invariant
+	// audit checks them bit for bit.
+	vaWait  uint64
+	saReady uint64
 
 	// ops is the phase-A grant log, drained by commitOps each cycle; the
 	// backing array reaches steady-state capacity during warmup.
@@ -131,6 +136,11 @@ func (r *Router) ID() NodeID { return r.id }
 
 // numVCs returns the per-port VC count.
 func (r *Router) numVCs() int { return r.net.numVCs }
+
+// vcBit returns the mask bit of input VC (port, vc).
+func (r *Router) vcBit(port Port, vc int) uint64 {
+	return 1 << (uint(port)*uint(r.net.numVCs) + uint(vc))
+}
 
 // acceptFlit buffers a flit arriving on (port, vc) and marks the router
 // active. The header flit claims the VC and has its route computed (the RC
@@ -148,14 +158,15 @@ func (r *Router) acceptFlit(port Port, vc int, f Flit, now uint64) {
 		st.pkt = f.Pkt
 		st.outPort = r.net.routing.NextPort(r.id, f.Pkt)
 		st.outVC = -1
-		r.needVC++
-		ip.needVC++
+		r.vaWait |= r.vcBit(port, vc)
 		if o := r.net.obs; o != nil {
 			o.HeaderEnqueued(r.id, f.Pkt, now)
 		}
 	}
+	if st.outVC >= 0 {
+		r.saReady |= r.vcBit(port, vc)
+	}
 	st.buf = append(st.buf, f)
-	ip.buffered++
 	r.bufferedFlits++
 	r.net.stats.BufferWrites++
 	r.net.markRouterActive(r.id)
@@ -166,54 +177,35 @@ func (r *Router) acceptFlit(port Port, vc int, f Flit, now uint64) {
 // served in priority order (bank-aware policy first), round-robin within a
 // priority level.
 func (r *Router) vcAlloc(now uint64) {
-	if r.needVC == 0 {
+	if r.vaWait == 0 {
 		return
 	}
 	nv := r.net.numVCs
-	total := int(NumPorts) * nv
-	startIdx := r.va % total
-	startPort := Port(startIdx / nv)
-	startVC := startIdx % nv
-	// Two passes: priority 0 candidates first, then the delayed ones. Once
-	// needVC hits zero no VC can pass the candidate filter below, so the
-	// remaining iterations (including a whole second pass) are pure no-ops
-	// and are skipped. While any candidate remains — delayed, held, or merely
-	// out of downstream VCs — both passes run in full, preserving the exact
-	// Priority call sequence (the bank-aware prioritizer counts its delay
-	// decisions, so call counts are observable in the stats).
-	for pass := 0; pass < 2 && r.needVC > 0; pass++ {
-		// The flat circular walk over (port, vc) from r.va decomposes into
-		// the tail of the start port, the other ports in wrap order, then the
-		// head of the start port. vaScan skips any port with no header
-		// awaiting allocation — no VC there can pass the candidate filter,
-		// so no Priority call is elided by the skip.
-		r.vaScan(pass, startPort, startVC, nv, now)
-		for pi := 1; pi < int(NumPorts) && r.needVC > 0; pi++ {
-			port := startPort + Port(pi)
-			if port >= NumPorts {
-				port -= NumPorts
-			}
-			r.vaScan(pass, port, 0, nv, now)
-		}
-		if r.needVC > 0 {
-			r.vaScan(pass, startPort, 0, startVC, now)
-		}
+	start := uint(r.va % (int(NumPorts) * nv))
+	below := uint64(1)<<start - 1
+	// Two passes: priority 0 candidates first, then the delayed ones. Each
+	// pass walks the waiting headers in the flat circular (port, vc) order
+	// from r.va: the bits at or above the start index, then those below it.
+	// A grant clears only the bit being visited, so snapshotting the mask per
+	// pass visits exactly the VCs a full rescan would. Every waiting header
+	// is offered to Priority in both passes while any remains — delayed,
+	// held, or merely out of downstream VCs — preserving the exact Priority
+	// call sequence (the bank-aware prioritizer counts its delay decisions,
+	// so call counts are observable in the stats).
+	for pass := 0; pass < 2 && r.vaWait != 0; pass++ {
+		m := r.vaWait
+		r.vaWalk(pass, m&^below, nv, now)
+		r.vaWalk(pass, m&below, nv, now)
 	}
 	r.va++
 }
 
-// vaScan attempts VC allocation for input VCs [lo, hi) of one port during
-// the given pass; vcAlloc defines the walk order and pass semantics.
-func (r *Router) vaScan(pass int, port Port, lo, hi int, now uint64) {
-	ip := r.in[port]
-	if ip == nil || ip.needVC == 0 {
-		return
-	}
-	for vc := lo; vc < hi && r.needVC > 0; vc++ {
-		st := &ip.vcs[vc]
-		if st.pkt == nil || st.outVC >= 0 || st.empty() {
-			continue
-		}
+// vaWalk attempts VC allocation for the input VCs of mask m, in ascending
+// bit order, during the given pass; vcAlloc defines the pass semantics.
+func (r *Router) vaWalk(pass int, m uint64, nv int, now uint64) {
+	for ; m != 0; m &= m - 1 {
+		b := bits.TrailingZeros64(m)
+		st := &r.in[b/nv].vcs[b%nv]
 		h := st.head()
 		if !h.IsHead() || now < h.readyAt {
 			continue
@@ -232,8 +224,8 @@ func (r *Router) vaScan(pass int, port Port, lo, hi int, now uint64) {
 		}
 		if v := ol.allocVC(st.pkt.Class, r.net); v >= 0 {
 			st.outVC = v
-			r.needVC--
-			ip.needVC--
+			r.vaWait &^= 1 << uint(b)
+			r.saReady |= 1 << uint(b)
 		}
 	}
 }
@@ -267,7 +259,7 @@ type saCandidate struct {
 // switchAlloc runs the SA+ST stages: for every output port, pick up to
 // `width` winners among ready flits and move them across the link.
 func (r *Router) switchAlloc(now uint64) {
-	if r.bufferedFlits == 0 {
+	if r.saReady == 0 {
 		return
 	}
 	// The candidate lists live on the router and are re-sliced to length zero
@@ -278,37 +270,32 @@ func (r *Router) switchAlloc(now uint64) {
 	for p := range cands {
 		cands[p] = cands[p][:0]
 	}
-	for port := Port(0); port < NumPorts; port++ {
-		ip := r.in[port]
-		if ip == nil || ip.buffered == 0 {
+	// Ascending bit order is ascending (port, vc) order, the order in which
+	// candidates reach Priority.
+	nv := r.net.numVCs
+	for m := r.saReady; m != 0; m &= m - 1 {
+		b := bits.TrailingZeros64(m)
+		port, vc := Port(b/nv), b%nv
+		st := &r.in[port].vcs[vc]
+		// The flit spends at least one cycle in stage 1 (RC/VA) before
+		// competing for the switch in stage 2.
+		if now < st.head().readyAt+1 {
 			continue
 		}
-		for vc := range ip.vcs {
-			st := &ip.vcs[vc]
-			if st.pkt == nil || st.outVC < 0 || st.empty() {
-				continue
-			}
-			h := st.head()
-			// The flit spends at least one cycle in stage 1 (RC/VA) before
-			// competing for the switch in stage 2.
-			if now < h.readyAt+1 {
-				continue
-			}
-			ol := r.out[st.outPort]
-			if ol.credits[st.outVC] <= 0 || !ol.usableAt(now) {
-				continue
-			}
-			if st.outPort == PortLocal && !r.net.nics[r.id].canEject(st.pkt.Class) {
-				// The node interface is full for this class: hold the flit
-				// in the router (backpressure into the network).
-				continue
-			}
-			cands[st.outPort] = append(cands[st.outPort], saCandidate{
-				port: port,
-				vc:   vc,
-				prio: r.net.priority(r.id, st.pkt, now),
-			})
+		ol := r.out[st.outPort]
+		if ol.credits[st.outVC] <= 0 || !ol.usableAt(now) {
+			continue
 		}
+		if st.outPort == PortLocal && !r.net.nics[r.id].canEject(st.pkt.Class) {
+			// The node interface is full for this class: hold the flit
+			// in the router (backpressure into the network).
+			continue
+		}
+		cands[st.outPort] = append(cands[st.outPort], saCandidate{
+			port: port,
+			vc:   vc,
+			prio: r.net.priority(r.id, st.pkt, now),
+		})
 	}
 	for port := Port(0); port < NumPorts; port++ {
 		ol := r.out[port]
@@ -369,7 +356,6 @@ func (r *Router) forward(port Port, vc int, ol *outLink, now uint64) {
 	ip := r.in[port]
 	st := &ip.vcs[vc]
 	f := st.pop()
-	ip.buffered--
 	r.bufferedFlits--
 	outVC := st.outVC
 
@@ -381,6 +367,9 @@ func (r *Router) forward(port Port, vc int, ol *outLink, now uint64) {
 		ol.tailSent[outVC] = true
 		st.pkt = nil
 		st.outVC = -1
+	}
+	if f.Tail || st.empty() {
+		r.saReady &^= r.vcBit(port, vc)
 	}
 
 	f.readyAt = now + 2 // ST this cycle, link next; available downstream after
