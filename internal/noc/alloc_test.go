@@ -3,6 +3,7 @@ package noc
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -61,29 +62,37 @@ func quadrantTSBs(topo Topology) (tsbOf map[NodeID]NodeID, tsbs []NodeID) {
 
 // TestAllocMaskUpkeepProperty drives seeded random traffic of every packet
 // kind through region-TSB networks with 2-flit-wide TSBs and a prioritizer
-// that demotes and holds headers, auditing the routers' vaWait/saReady masks
-// against their VC states after every cycle, and requires every packet to be
-// delivered. Congested wide TSBs exercise the second-flit-per-cycle path;
-// held headers exercise VA passes that grant nothing.
+// that demotes and holds headers, auditing the routers' vaWait/saReady and
+// free-VC masks and cached head readiness against their VC states after
+// every cycle, and requires every packet to be delivered. Congested wide TSBs
+// exercise the second-flit-per-cycle path; held headers exercise VA passes
+// that grant nothing. Each case runs at the paper's 5-flit buffers and again
+// at 2-flit buffers (the "/depth2" runs), where 9-flit writebacks wrap the
+// VC rings every two flits.
 func TestAllocMaskUpkeepProperty(t *testing.T) {
 	for _, topo := range []Topology{paper, wide} {
 		for _, vcs := range [][]int{DefaultVCsPerClass, {4, 2, 1}} {
 			for seed := int64(1); seed <= 2; seed++ {
-				name := fmt.Sprintf("%s/vcs%d/seed%d", topo, vcs[0]+vcs[1]+vcs[2], seed)
-				t.Run(name, func(t *testing.T) { maskUpkeepRun(t, topo, vcs, seed) })
+				for _, depth := range []int{DefaultBufDepth, 2} {
+					name := fmt.Sprintf("%s/vcs%d/seed%d", topo, vcs[0]+vcs[1]+vcs[2], seed)
+					if depth != DefaultBufDepth {
+						name += fmt.Sprintf("/depth%d", depth)
+					}
+					t.Run(name, func(t *testing.T) { maskUpkeepRun(t, topo, vcs, depth, seed) })
+				}
 			}
 		}
 	}
 }
 
-func maskUpkeepRun(t *testing.T, topo Topology, vcs []int, seed int64) {
+func maskUpkeepRun(t *testing.T, topo Topology, vcs []int, depth int, seed int64) {
 	tsbOf, tsbs := quadrantTSBs(topo)
 	routing, err := NewRoutingTopo(topo, PathRegionTSBs, tsbOf)
 	if err != nil {
 		t.Fatal(err)
 	}
 	prio := &hashPrioritizer{}
-	n := mustNetwork(t, Config{Routing: routing, VCsPerClass: vcs, WideTSBs: tsbs, Prioritizer: prio})
+	n := mustNetwork(t, Config{Routing: routing, VCsPerClass: vcs, BufDepth: depth, WideTSBs: tsbs, Prioritizer: prio})
 	delivered := 0
 	for d := NodeID(0); int(d) < n.NumNodes(); d++ {
 		n.SetDeliver(d, func(*Packet, uint64) { delivered++ })
@@ -126,5 +135,79 @@ func maskUpkeepRun(t *testing.T, topo Topology, vcs []int, seed int64) {
 	// two flits that cycle.
 	if maxTSB <= uint64(len(tsbs)) {
 		t.Fatalf("no TSB ever moved two flits in a cycle (max %d across %d TSBs)", maxTSB, len(tsbs))
+	}
+}
+
+// TestVCRingWrapStreamsInOrder streams five 9-flit packets through one VC —
+// the request class has a single VC, and node 1 is node 0's east neighbour,
+// so every flit crosses router 1's west input VC 0 — at buffer depths whose
+// rings wrap many times per packet. After every cycle the VC's flits must be
+// consecutive flits of one packet, headReady must match the head flit, the
+// upstream credits plus the buffered flits must equal the depth, and the
+// head must only move forward through the stream. Packets arrive in
+// injection order, and the drained VC ends free with every credit back.
+func TestVCRingWrapStreamsInOrder(t *testing.T) {
+	for _, depth := range []int{2, 3, DefaultBufDepth} {
+		t.Run(fmt.Sprintf("depth%d", depth), func(t *testing.T) { ringWrapRun(t, depth) })
+	}
+}
+
+func ringWrapRun(t *testing.T, depth int) {
+	n := mustNetwork(t, Config{VCsPerClass: []int{1, 1, 1}, BufDepth: depth})
+	var got, want []uint64
+	n.SetDeliver(1, func(p *Packet, _ uint64) { got = append(got, p.ID) })
+	for i := 0; i < 5; i++ {
+		p := &Packet{Kind: KindWriteReq, Src: 0, Dst: 1}
+		n.Inject(p, 0)
+		want = append(want, p.ID)
+	}
+	r, up := n.Router(1), n.Router(0).out[PortEast]
+	st := r.vc(PortWest, 0)
+	wraps, lastID, lastSeq := 0, uint64(0), -1
+	for now := uint64(0); n.InFlight() > 0; now++ {
+		if now > 2000 {
+			t.Fatalf("stream did not drain (%d in flight)", n.InFlight())
+		}
+		hd := st.hd
+		step(t, n, now)
+		if st.hd < hd {
+			wraps++
+		}
+		if got := up.credits[0] + int(st.n); got != depth {
+			t.Fatalf("cycle %d: credits+buffered = %d, want %d", now, got, depth)
+		}
+		if st.n == 0 {
+			continue
+		}
+		head := r.flit(st, 0)
+		if st.headReady != head.readyAt {
+			t.Fatalf("cycle %d: headReady %d, head flit ready at %d", now, st.headReady, head.readyAt)
+		}
+		if head.Pkt.ID < lastID || (head.Pkt.ID == lastID && head.Seq < lastSeq) {
+			t.Fatalf("cycle %d: head went back from packet %d flit %d to packet %d flit %d",
+				now, lastID, lastSeq, head.Pkt.ID, head.Seq)
+		}
+		lastID, lastSeq = head.Pkt.ID, head.Seq
+		for i := 1; i < int(st.n); i++ {
+			prev, f := r.flit(st, i-1), r.flit(st, i)
+			if f.Pkt != prev.Pkt || f.Seq != prev.Seq+1 {
+				t.Fatalf("cycle %d: ring slot %d holds packet %d flit %d after packet %d flit %d",
+					now, i, f.Pkt.ID, f.Seq, prev.Pkt.ID, prev.Seq)
+			}
+		}
+		if err := n.CheckInvariants(); err != nil {
+			t.Fatalf("cycle %d: %v", now, err)
+		}
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("delivered %v, want injection order %v", got, want)
+	}
+	// Five packets of 9 flits pass the ring: at least 45/depth - 1 wraps.
+	if atLeast := 5*DataPacketFlits/depth - 1; wraps < atLeast {
+		t.Fatalf("ring wrapped %d times, want at least %d", wraps, atLeast)
+	}
+	if up.credits[0] != depth || up.busy != 0 || up.tailSent != 0 {
+		t.Fatalf("drained link: credits %d busy %#x tailSent %#x, want %d, 0, 0",
+			up.credits[0], up.busy, up.tailSent, depth)
 	}
 }

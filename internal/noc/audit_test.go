@@ -40,22 +40,34 @@ func corrupt(t *testing.T, topo Topology, want string, mutate func(n *Network)) 
 	}
 }
 
+// vcBit returns router r's mask bit of input VC (port, vc).
+func vcBit(r *Router, port Port, vc int) uint64 {
+	return 1 << (uint(port)*uint(r.net.numVCs) + uint(vc))
+}
+
 func TestAuditDetectsUnownedFlits(t *testing.T) {
 	corrupt(t, paper, "no owner", func(n *Network) {
-		st := &n.routers[0].in[PortLocal].vcs[0]
-		st.buf = append(st.buf, Flit{Pkt: &Packet{ID: 1}, Seq: 1})
+		r := n.routers[0]
+		r.push(r.vc(PortLocal, 0), Flit{Pkt: &Packet{ID: 1}, Seq: 1})
+	})
+	// Node 0 has no west neighbour, so its west VCs have no ring and must
+	// stay idle.
+	corrupt(t, paper, "no W port", func(n *Network) {
+		n.routers[0].vc(PortWest, 2).pkt = &Packet{ID: 1}
 	})
 }
 
 func TestAuditDetectsInterleavedPackets(t *testing.T) {
 	corrupt(t, paper, "interleaved", func(n *Network) {
 		a, b := &Packet{ID: 1}, &Packet{ID: 2}
-		st := &n.routers[0].in[PortLocal].vcs[0]
+		r := n.routers[0]
+		st := r.vc(PortLocal, 0)
 		st.pkt = a
-		st.buf = append(st.buf, Flit{Pkt: a, Seq: 0}, Flit{Pkt: b, Seq: 1})
+		r.push(st, Flit{Pkt: a, Seq: 0})
+		r.push(st, Flit{Pkt: b, Seq: 1})
 		// Keep the credit ledger consistent so the ownership check is what
 		// fires, not conservation.
-		n.routers[0].in[PortLocal].feeder.credits[0] -= 2
+		r.feeder[PortLocal].credits[0] -= 2
 	})
 }
 
@@ -64,7 +76,7 @@ func TestAuditDetectsCreditLeak(t *testing.T) {
 		// The last router: node 255 on the wide shape.
 		last := NodeID(topo.NumNodes() - 1)
 		corrupt(t, topo, "credits+buffered", func(n *Network) {
-			n.routers[last].in[PortLocal].feeder.credits[0]--
+			n.routers[last].feeder[PortLocal].credits[0]--
 		})
 	}
 }
@@ -73,13 +85,16 @@ func TestAuditDetectsNegativeCredits(t *testing.T) {
 	corrupt(t, paper, "negative credits", func(n *Network) {
 		// Conservation must hold (credits + buffered == depth) for the
 		// negative-credit branch to be the one that fires.
+		// The ring takes the over-depth push (acceptFlit is what refuses
+		// one), overwriting its head slot with the last flit.
 		p := &Packet{ID: 1}
-		st := &n.routers[0].in[PortLocal].vcs[0]
+		r := n.routers[0]
+		st := r.vc(PortLocal, 0)
 		st.pkt = p
 		for i := 0; i <= n.bufDepth; i++ {
-			st.buf = append(st.buf, Flit{Pkt: p, Seq: i})
+			r.push(st, Flit{Pkt: p, Seq: i})
 		}
-		n.routers[0].in[PortLocal].feeder.credits[0] = -1
+		r.feeder[PortLocal].credits[0] = -1
 	})
 }
 
@@ -92,7 +107,7 @@ func TestAuditDetectsBufferedFlitCounterDrift(t *testing.T) {
 func TestAuditDetectsNeedVCCounterDrift(t *testing.T) {
 	corrupt(t, paper, "awaiting allocation", func(n *Network) {
 		r := n.routers[5]
-		r.vaWait ^= r.vcBit(PortLocal, 0)
+		r.vaWait ^= vcBit(r, PortLocal, 0)
 	})
 }
 
@@ -101,14 +116,83 @@ func TestAuditDetectsSAReadyMaskDrift(t *testing.T) {
 		last := NodeID(topo.NumNodes() - 1)
 		corrupt(t, topo, "saReady", func(n *Network) {
 			r := n.routers[last]
-			r.saReady ^= r.vcBit(PortLocal, n.numVCs-1)
+			r.saReady ^= vcBit(r, PortLocal, n.numVCs-1)
 		})
 	}
 	// A bit for a port the router does not have is drift too: node 0 has
 	// no west neighbour, so no VC state backs this bit.
 	corrupt(t, paper, "saReady", func(n *Network) {
-		n.routers[0].saReady |= n.routers[0].vcBit(PortWest, 0)
+		n.routers[0].saReady |= vcBit(n.routers[0], PortWest, 0)
 	})
+}
+
+// bufferFlits injects a data packet from node 0 and steps the network until
+// some router holds two or more of its flits in a VC that already owns a
+// downstream VC, returning that router and the VC's index.
+func bufferFlits(t *testing.T, n *Network) (*Router, int) {
+	t.Helper()
+	n.SetDeliver(1, func(*Packet, uint64) {})
+	n.Inject(&Packet{Kind: KindWriteReq, Src: 0, Dst: 1}, 0)
+	for now := uint64(0); now < 20; now++ {
+		step(t, n, now)
+		for _, r := range n.routers {
+			for b := range r.vcs {
+				if st := &r.vcs[b]; st.n > 1 && st.outVC >= 0 {
+					if err := n.CheckInvariants(); err != nil {
+						t.Fatalf("cycle %d: %v", now, err)
+					}
+					return r, b
+				}
+			}
+		}
+	}
+	t.Fatal("no router buffered two flits of the packet")
+	return nil, 0
+}
+
+func TestAuditDetectsHeadReadyDrift(t *testing.T) {
+	for _, topo := range []Topology{paper, wide} {
+		corrupt(t, topo, "headReady", func(n *Network) {
+			r, b := bufferFlits(t, n)
+			r.vcs[b].headReady++
+		})
+		// A pop that failed to refresh the cache would leave the old head's
+		// readiness behind once the next flit differs. Settle the counters
+		// the pop owes so that the cache is the only thing wrong.
+		corrupt(t, topo, "headReady", func(n *Network) {
+			r, b := bufferFlits(t, n)
+			st := &r.vcs[b]
+			stale := st.headReady
+			r.flit(st, 1).readyAt = stale + 7
+			r.pop(st)
+			st.headReady = stale
+			r.bufferedFlits--
+			nv := n.numVCs
+			r.feeder[b/nv].credits[b%nv]++
+		})
+	}
+}
+
+func TestAuditDetectsFreeVCMaskDrift(t *testing.T) {
+	for _, topo := range []Topology{paper, wide} {
+		last := NodeID(topo.NumNodes() - 1)
+		// Tail sent and every credit back: eager freeing must have cleared it.
+		corrupt(t, topo, "after its tail was sent", func(n *Network) {
+			ol := n.routers[last].out[PortLocal]
+			ol.busy |= 1 << 2
+			ol.tailSent |= 1 << 2
+		})
+		corrupt(t, topo, "not busy", func(n *Network) {
+			n.routers[last].out[PortLocal].tailSent |= 1
+		})
+		corrupt(t, topo, "at or above VC", func(n *Network) {
+			n.routers[last].out[PortLocal].busy |= 1 << uint(n.numVCs)
+		})
+		// The NICs' injection links are audited too.
+		corrupt(t, topo, "nic", func(n *Network) {
+			n.nics[last].inj.tailSent |= 1
+		})
+	}
 }
 
 func TestStepReturnsDeadlockErrorWithStalledDump(t *testing.T) {

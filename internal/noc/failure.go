@@ -32,21 +32,15 @@ func (d PacketDump) String() string {
 // then location, so dumps are deterministic.
 func (n *Network) DumpInFlight() []PacketDump {
 	var out []PacketDump
-	for id := NodeID(0); int(id) < n.numNodes; id++ {
-		r := n.routers[id]
-		for port := Port(0); port < NumPorts; port++ {
-			ip := r.in[port]
-			if ip == nil {
+	nv := n.numVCs
+	for id, r := range n.routers {
+		for b := range r.vcs {
+			st := &r.vcs[b]
+			if st.pkt == nil || st.n == 0 {
 				continue
 			}
-			for vc := range ip.vcs {
-				st := &ip.vcs[vc]
-				if st.pkt == nil || st.empty() {
-					continue
-				}
-				out = append(out, dumpOf(st.pkt, id,
-					fmt.Sprintf("router port %s vc %d (%d flits buffered)", port, vc, len(st.buf))))
-			}
+			out = append(out, dumpOf(st.pkt, NodeID(id),
+				fmt.Sprintf("router port %s vc %d (%d flits buffered)", Port(b/nv), b%nv, st.n)))
 		}
 	}
 	for id := NodeID(0); int(id) < n.numNodes; id++ {

@@ -2,6 +2,7 @@ package noc
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 
 	"sttsim/internal/stats"
@@ -13,6 +14,10 @@ import (
 // responses two, coherence one. The "+1 VC" design point of Section 4.4
 // grants the request class a fourth.
 var DefaultVCsPerClass = []int{3, 2, 1}
+
+// maxPortVCs is the most VCs a port may have: a router's allocation masks
+// hold one bit per input VC in a uint64.
+const maxPortVCs = 64 / int(NumPorts)
 
 // WatchdogCycles is how long the network may hold in-flight packets without
 // moving a single flit before it declares a deadlock. Generously above any
@@ -70,10 +75,9 @@ type Network struct {
 	prioritizer Prioritizer
 	obs         Observer
 
-	numVCs   int
-	bufDepth int
-	classLo  [NumClasses]int
-	classHi  [NumClasses]int
+	numVCs    int
+	bufDepth  int
+	classMask [NumClasses]uint64 // the VCs of each class, bit v for VC v
 
 	// Sparse active-set ticking (see Step): bit n set means the router/NIC
 	// at node n may make progress and must be ticked this cycle. Idle
@@ -171,6 +175,10 @@ func NewNetwork(cfg Config) (*Network, error) {
 	if n.bufDepth == 0 {
 		n.bufDepth = DefaultBufDepth
 	}
+	// The VC rings index their slots with a byte (see vcState).
+	if n.bufDepth < 0 || n.bufDepth > math.MaxUint8 {
+		return nil, fmt.Errorf("noc: buffer depth %d outside 1..%d flits", n.bufDepth, math.MaxUint8)
+	}
 	if n.watchdog == 0 {
 		n.watchdog = WatchdogCycles
 	}
@@ -178,14 +186,13 @@ func NewNetwork(cfg Config) (*Network, error) {
 		if vcs[c] <= 0 {
 			return nil, fmt.Errorf("noc: class %d has no VCs", c)
 		}
-		n.classLo[c] = n.numVCs
+		n.classMask[c] = (uint64(1)<<uint(vcs[c]) - 1) << uint(n.numVCs)
 		n.numVCs += vcs[c]
-		n.classHi[c] = n.numVCs
 	}
 	// The routers' allocation masks hold one bit per input VC.
-	if int(NumPorts)*n.numVCs > 64 {
+	if n.numVCs > maxPortVCs {
 		return nil, fmt.Errorf("noc: %d VCs per port exceed the router's 64-bit VC masks (at most %d for %d ports)",
-			n.numVCs, 64/int(NumPorts), NumPorts)
+			n.numVCs, maxPortVCs, NumPorts)
 	}
 
 	// Wide TSBs are named by their core-layer node; the 256-bit bus spans
@@ -199,18 +206,24 @@ func NewNetwork(cfg Config) (*Network, error) {
 	}
 	layerSize := topo.LayerSize()
 
-	// Pass 1: routers and their input ports.
+	// Pass 1: routers, with ring slots for the VCs of the input ports each
+	// router has: the local port and one per neighbour.
 	for id := NodeID(0); id < NodeID(numNodes); id++ {
-		r := &Router{id: id, net: n}
-		r.in[PortLocal] = n.newInputPort()
+		r := &Router{id: id, net: n, depth: n.bufDepth, vcs: make([]vcState, int(NumPorts)*n.numVCs)}
+		for b := range r.vcs {
+			r.vcs[b].outVC = -1
+		}
+		off := 0
 		for p := Port(0); p < NumPorts; p++ {
-			if p == PortLocal {
+			if p != PortLocal && topo.Neighbor(id, p) < 0 {
 				continue
 			}
-			if topo.Neighbor(id, p) >= 0 {
-				r.in[p] = n.newInputPort()
+			for v := 0; v < n.numVCs; v++ {
+				r.vc(p, v).off = int32(off)
+				off += n.bufDepth
 			}
 		}
+		r.slab = make([]Flit, off)
 		n.routers[id] = r
 	}
 
@@ -234,7 +247,7 @@ func NewNetwork(cfg Config) (*Network, error) {
 			}
 			ol := n.newOutLink(p, n.routers[nb], p.Opposite(), width, isTSV)
 			r.out[p] = ol
-			n.routers[nb].in[p.Opposite()].feeder = ol
+			n.routers[nb].feeder[p.Opposite()] = ol
 		}
 	}
 
@@ -242,53 +255,29 @@ func NewNetwork(cfg Config) (*Network, error) {
 	for id := NodeID(0); id < NodeID(numNodes); id++ {
 		r := n.routers[id]
 		inj := n.newOutLink(PortLocal, r, PortLocal, 1, false)
-		r.in[PortLocal].feeder = inj
+		r.feeder[PortLocal] = inj
 		n.nics[id] = &NIC{
 			id:     id,
 			net:    n,
 			router: r,
 			inj:    inj,
 		}
-		for p := Port(0); p < NumPorts; p++ {
-			if r.in[p] != nil {
-				r.bufCap += n.numVCs * n.bufDepth
-			}
-		}
 	}
 	return n, nil
 }
 
-func (n *Network) newInputPort() *inputPort {
-	ip := &inputPort{vcs: make([]vcState, n.numVCs)}
-	for v := range ip.vcs {
-		ip.vcs[v].outVC = -1
-		// Pre-size to the credit-bounded maximum so buffering never grows
-		// the slice in the hot loop.
-		ip.vcs[v].buf = make([]Flit, 0, n.bufDepth)
-	}
-	return ip
-}
-
 func (n *Network) newOutLink(src Port, dst *Router, dstPort Port, width int, isTSV bool) *outLink {
 	ol := &outLink{
-		srcPort:  src,
-		dst:      dst,
-		dstPort:  dstPort,
-		width:    width,
-		isTSV:    isTSV,
-		credits:  make([]int, n.numVCs),
-		busy:     make([]bool, n.numVCs),
-		tailSent: make([]bool, n.numVCs),
+		srcPort: src,
+		dst:     dst,
+		dstPort: dstPort,
+		width:   width,
+		isTSV:   isTSV,
 	}
-	for v := range ol.credits {
+	for v := 0; v < n.numVCs; v++ {
 		ol.credits[v] = n.bufDepth
 	}
 	return ol
-}
-
-// classVCRange returns the half-open VC index range assigned to class c.
-func (n *Network) classVCRange(c Class) (lo, hi int) {
-	return n.classLo[c], n.classHi[c]
 }
 
 // NumVCs returns the total VC count per port.
@@ -527,18 +516,10 @@ func (n *Network) DegradePort(id NodeID, p Port, period uint64) error {
 // committed to a path follow the new routes, while wormholes already holding
 // a downstream VC drain along their old path.
 func (n *Network) RecomputeRoutes() {
-	for id := NodeID(0); id < NodeID(n.numNodes); id++ {
-		r := n.routers[id]
-		for port := Port(0); port < NumPorts; port++ {
-			ip := r.in[port]
-			if ip == nil {
-				continue
-			}
-			for vc := range ip.vcs {
-				st := &ip.vcs[vc]
-				if st.pkt != nil && st.outVC < 0 {
-					st.outPort = n.routing.NextPort(id, st.pkt)
-				}
+	for id, r := range n.routers {
+		for b := range r.vcs {
+			if st := &r.vcs[b]; st.pkt != nil && st.outVC < 0 {
+				st.outPort = n.routing.NextPort(NodeID(id), st.pkt)
 			}
 		}
 	}

@@ -1,6 +1,7 @@
 package noc
 
 import (
+	"math/bits"
 	"testing"
 	"testing/quick"
 )
@@ -60,6 +61,15 @@ func TestNetworkConfigValidation(t *testing.T) {
 		if _, err := NewNetwork(Config{Routing: r, VCsPerClass: vcs}); err != nil {
 			t.Fatalf("VCsPerClass %v: %v", vcs, err)
 		}
+	}
+	// VC rings index their slots with a byte.
+	for _, depth := range []int{-1, 256} {
+		if _, err := NewNetwork(Config{Routing: r, BufDepth: depth}); err == nil {
+			t.Fatalf("expected error for buffer depth %d", depth)
+		}
+	}
+	if _, err := NewNetwork(Config{Routing: r, BufDepth: 255}); err != nil {
+		t.Fatalf("buffer depth 255: %v", err)
 	}
 	if _, err := NewNetwork(Config{Routing: r, WideTSBs: []NodeID{64}}); err == nil {
 		t.Fatal("expected error for cache-layer wide TSB")
@@ -228,9 +238,13 @@ func TestPlusOneVCConfig(t *testing.T) {
 	if n.NumVCs() != 7 {
 		t.Fatalf("numVCs = %d, want 7", n.NumVCs())
 	}
-	lo, hi := n.classVCRange(ClassReq)
-	if hi-lo != 3 {
-		t.Fatalf("req class got %d VCs, want 3", hi-lo)
+	if got := bits.OnesCount64(n.classMask[ClassReq]); got != 3 {
+		t.Fatalf("req class got %d VCs, want 3", got)
+	}
+	m := n.classMask
+	if m[ClassReq]|m[ClassResp]|m[ClassCoh] != 1<<7-1 || m[ClassReq]&m[ClassResp] != 0 ||
+		(m[ClassReq]|m[ClassResp])&m[ClassCoh] != 0 {
+		t.Fatalf("class masks %#x do not partition the 7 VCs", n.classMask)
 	}
 	n.SetDeliver(64, func(*Packet, uint64) {})
 	for i := 0; i < 10; i++ {

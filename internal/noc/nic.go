@@ -19,8 +19,8 @@ const EjectPendingCap = 2
 // input port of the NIC's router.
 type stream struct {
 	pkt  *Packet
-	next int // next flit sequence number to inject
-	vc   int // injection VC granted on the local input port
+	next int  // next flit sequence number to inject
+	vc   int8 // injection VC granted on the local input port
 }
 
 type arrival struct {
@@ -196,11 +196,11 @@ func (n *NIC) injectOne(now uint64) {
 			readyAt: now + 1, // one cycle to cross into the router buffer
 		}
 		n.inj.credits[s.vc]--
-		n.router.acceptFlit(PortLocal, s.vc, f, now)
+		n.router.acceptFlit(PortLocal, int(s.vc), f, now)
 		n.net.lastMove = now
 		s.next++
 		if f.Tail {
-			n.inj.tailSent[s.vc] = true
+			n.inj.tailSent |= 1 << uint(s.vc)
 			n.streams = append(n.streams[:idx], n.streams[idx+1:]...)
 			n.rr = idx
 		} else {

@@ -27,36 +27,20 @@ type Prioritizer interface {
 	OnForward(at NodeID, p *Packet, now uint64)
 }
 
-// vcState is one virtual channel of one input port.
+// vcState is one virtual channel of one input port. Its flits live in a
+// bufDepth-slot ring inside the owning router's slab: slot i of the ring is
+// slab[off+i], the head is slot hd and n slots are in use, so push and pop
+// are index arithmetic. headReady caches the head flit's readyAt (valid while
+// n > 0), so the allocators test readiness without touching the slab. hd and
+// n are bytes, which is why NewNetwork caps bufDepth at 255; the struct is 32
+// bytes.
 type vcState struct {
-	buf []Flit // FIFO of buffered flits
-
-	pkt     *Packet // packet currently holding this VC (nil when idle)
-	outPort Port    // route computed from the header (valid when pkt != nil)
-	outVC   int     // downstream VC granted by VA; -1 until allocated
-}
-
-func (v *vcState) empty() bool { return len(v.buf) == 0 }
-
-func (v *vcState) head() *Flit {
-	if len(v.buf) == 0 {
-		return nil
-	}
-	return &v.buf[0]
-}
-
-func (v *vcState) pop() Flit {
-	f := v.buf[0]
-	copy(v.buf, v.buf[1:])
-	v.buf = v.buf[:len(v.buf)-1]
-	return f
-}
-
-// inputPort is one input port: a set of VCs plus a back-pointer to the
-// upstream outLink feeding it (for credit returns).
-type inputPort struct {
-	vcs    []vcState
-	feeder *outLink // nil for ports with no incoming link
+	pkt       *Packet // packet currently holding this VC (nil when idle)
+	headReady uint64  // readyAt of the head flit (valid while n > 0)
+	outPort   Port    // route computed from the header (valid when pkt != nil)
+	off       int32   // slab index of the ring's slot 0
+	hd, n     uint8   // ring head slot and buffered flit count
+	outVC     int8    // downstream VC granted by VA; -1 until allocated
 }
 
 // outLink is one output port and the link it drives, including the
@@ -68,10 +52,14 @@ type outLink struct {
 	width   int // flits per cycle (2 for the 256-bit region TSBs)
 	isTSV   bool
 
-	credits  []int  // free buffer slots per downstream VC
-	busy     []bool // downstream VC currently owned by an in-flight packet
-	tailSent []bool // tail forwarded; VC frees once its credits all return
-	rr       int    // SA round-robin pointer
+	credits [maxPortVCs]int // free buffer slots per downstream VC
+	// Downstream VC masks, bit v for VC v. busy: owned by a packet. tailSent:
+	// the owner's tail has been forwarded. returnCredit frees a VC (clears
+	// both bits) as soon as its tail has been sent and its last credit is
+	// back, so busy is exactly the set allocVC may not grant.
+	busy     uint64
+	tailSent uint64
+	rr       int // SA round-robin pointer
 
 	// Fault-injection state (see Network.DegradePort): a faulty link moves
 	// flits only on cycles divisible by period; period 0 means dead.
@@ -87,6 +75,30 @@ func (l *outLink) usableAt(now uint64) bool {
 	return l.period > 0 && now%l.period == 0
 }
 
+// returnCredit hands back one buffer slot of downstream VC v. The VC frees
+// once its previous packet's tail has been sent and every credit has
+// returned (the downstream buffer drained), which prevents a new header from
+// arriving behind a still-buffered tail.
+func (l *outLink) returnCredit(v int8, depth int) {
+	l.credits[v]++
+	if bit := uint64(1) << uint(v); l.tailSent&bit != 0 && l.credits[v] == depth {
+		l.busy &^= bit
+		l.tailSent &^= bit
+	}
+}
+
+// allocVC claims the lowest free downstream VC in the given class, returning
+// its index or -1.
+func (l *outLink) allocVC(c Class, n *Network) int8 {
+	free := n.classMask[c] &^ l.busy
+	if free == 0 {
+		return -1
+	}
+	v := bits.TrailingZeros64(free)
+	l.busy |= 1 << uint(v)
+	return int8(v)
+}
+
 // fwdOp is one switch grant decided in phase A of the two-phase tick. All of
 // its effects land outside the granting router — a credit returned upstream,
 // a flit buffered downstream (or ejected into the local NIC), the
@@ -95,28 +107,38 @@ func (l *outLink) usableAt(now uint64) bool {
 // writes (DESIGN.md §18).
 type fwdOp struct {
 	f      Flit     // the granted flit, readyAt already stamped
-	feeder *outLink // upstream link owed a credit (nil for NIC-fed ports)
+	feeder *outLink // upstream link owed a credit
 	ol     *outLink // output link traversed
-	fvc    int32    // input VC to credit upstream
-	outVC  int32    // downstream VC the flit lands in
+	fvc    int8     // input VC to credit upstream
+	outVC  int8     // downstream VC the flit lands in
 }
 
 // Router is one 2-stage wormhole router.
 type Router struct {
 	id  NodeID
-	in  [NumPorts]*inputPort
-	out [NumPorts]*outLink
 	net *Network
-	va  int // VA round-robin pointer over input VCs
+	va  int // VA round-robin pointer over input VCs, in [0, NumPorts*numVCs)
+
+	// vcs holds every input VC, indexed by its mask bit port*numVCs+vc.
+	// Entries of ports the router lacks stay idle forever; only present
+	// ports get ring slots in slab, bufDepth flits per VC.
+	vcs   []vcState
+	slab  []Flit
+	depth int // bufDepth, cached for the ring arithmetic
+
+	// feeder[p] is the upstream link driving input port p (the NIC's
+	// injection link for PortLocal), the target of its credit returns; nil
+	// means the router has no port p.
+	feeder [NumPorts]*outLink
+	out    [NumPorts]*outLink
 
 	// Fast-path occupancy counter so idle routers cost almost nothing.
 	bufferedFlits int // flits across all input VCs
-	bufCap        int // total flit-buffer capacity (fixed at construction)
 
 	// Input-VC bitmasks, bit port*numVCs+vc (NewNetwork bounds the product
 	// at 64), so the allocators walk only the VCs that can compete:
 	//   vaWait  ⇔ pkt != nil && outVC < 0 (a header awaiting VA)
-	//   saReady ⇔ pkt != nil && outVC >= 0 && len(buf) > 0
+	//   saReady ⇔ pkt != nil && outVC >= 0 && n > 0
 	// acceptFlit, the VA grant and forward keep them exact; the invariant
 	// audit checks them bit for bit.
 	vaWait  uint64
@@ -134,21 +156,54 @@ type Router struct {
 // ID returns the router's node ID.
 func (r *Router) ID() NodeID { return r.id }
 
-// numVCs returns the per-port VC count.
-func (r *Router) numVCs() int { return r.net.numVCs }
+// vc returns the state of input VC (port, vc).
+func (r *Router) vc(port Port, vc int) *vcState {
+	return &r.vcs[int(port)*r.net.numVCs+vc]
+}
 
-// vcBit returns the mask bit of input VC (port, vc).
-func (r *Router) vcBit(port Port, vc int) uint64 {
-	return 1 << (uint(port)*uint(r.net.numVCs) + uint(vc))
+// push appends f to the ring of st. It does not check for overflow: the
+// credit protocol bounds every ring at depth flits, and acceptFlit panics
+// before a violating push.
+func (r *Router) push(st *vcState, f Flit) {
+	i := int(st.hd) + int(st.n)
+	if i >= r.depth {
+		i -= r.depth
+	}
+	r.slab[int(st.off)+i] = f
+	if st.n == 0 {
+		st.headReady = f.readyAt
+	}
+	st.n++
+}
+
+// pop removes and returns the head flit of st's non-empty ring, advancing
+// headReady to the new head.
+func (r *Router) pop(st *vcState) Flit {
+	f := r.slab[int(st.off)+int(st.hd)]
+	st.hd++
+	if int(st.hd) == r.depth {
+		st.hd = 0
+	}
+	st.n--
+	if st.n > 0 {
+		st.headReady = r.slab[int(st.off)+int(st.hd)].readyAt
+	}
+	return f
+}
+
+// flit returns the i-th buffered flit of st (0 is the head), for the cold
+// audit path.
+func (r *Router) flit(st *vcState, i int) *Flit {
+	return &r.slab[int(st.off)+(int(st.hd)+i)%r.depth]
 }
 
 // acceptFlit buffers a flit arriving on (port, vc) and marks the router
 // active. The header flit claims the VC and has its route computed (the RC
 // stage).
 func (r *Router) acceptFlit(port Port, vc int, f Flit, now uint64) {
-	ip := r.in[port]
-	st := &ip.vcs[vc]
-	if len(st.buf) >= r.net.bufDepth {
+	b := int(port)*r.net.numVCs + vc
+	st := &r.vcs[b]
+	if int(st.n) >= r.depth {
 		panic(fmt.Sprintf("noc: buffer overflow at router %d port %s vc %d (credit protocol violated)", r.id, port, vc))
 	}
 	if f.IsHead() {
@@ -158,15 +213,15 @@ func (r *Router) acceptFlit(port Port, vc int, f Flit, now uint64) {
 		st.pkt = f.Pkt
 		st.outPort = r.net.routing.NextPort(r.id, f.Pkt)
 		st.outVC = -1
-		r.vaWait |= r.vcBit(port, vc)
+		r.vaWait |= 1 << uint(b)
 		if o := r.net.obs; o != nil {
 			o.HeaderEnqueued(r.id, f.Pkt, now)
 		}
 	}
 	if st.outVC >= 0 {
-		r.saReady |= r.vcBit(port, vc)
+		r.saReady |= 1 << uint(b)
 	}
-	st.buf = append(st.buf, f)
+	r.push(st, f)
 	r.bufferedFlits++
 	r.net.stats.BufferWrites++
 	r.net.markRouterActive(r.id)
@@ -180,9 +235,7 @@ func (r *Router) vcAlloc(now uint64) {
 	if r.vaWait == 0 {
 		return
 	}
-	nv := r.net.numVCs
-	start := uint(r.va % (int(NumPorts) * nv))
-	below := uint64(1)<<start - 1
+	below := uint64(1)<<uint(r.va) - 1
 	// Two passes: priority 0 candidates first, then the delayed ones. Each
 	// pass walks the waiting headers in the flat circular (port, vc) order
 	// from r.va: the bits at or above the start index, then those below it.
@@ -194,20 +247,22 @@ func (r *Router) vcAlloc(now uint64) {
 	// so call counts are observable in the stats).
 	for pass := 0; pass < 2 && r.vaWait != 0; pass++ {
 		m := r.vaWait
-		r.vaWalk(pass, m&^below, nv, now)
-		r.vaWalk(pass, m&below, nv, now)
+		r.vaWalk(pass, m&^below, now)
+		r.vaWalk(pass, m&below, now)
 	}
-	r.va++
+	if r.va++; r.va == len(r.vcs) {
+		r.va = 0
+	}
 }
 
 // vaWalk attempts VC allocation for the input VCs of mask m, in ascending
-// bit order, during the given pass; vcAlloc defines the pass semantics.
-func (r *Router) vaWalk(pass int, m uint64, nv int, now uint64) {
+// bit order, during the given pass; vcAlloc defines the pass semantics. A
+// VC's bit in vaWait means its head flit is the packet's header.
+func (r *Router) vaWalk(pass int, m uint64, now uint64) {
 	for ; m != 0; m &= m - 1 {
 		b := bits.TrailingZeros64(m)
-		st := &r.in[b/nv].vcs[b%nv]
-		h := st.head()
-		if !h.IsHead() || now < h.readyAt {
+		st := &r.vcs[b]
+		if now < st.headReady {
 			continue
 		}
 		prio := r.net.priority(r.id, st.pkt, now)
@@ -230,29 +285,9 @@ func (r *Router) vaWalk(pass int, m uint64, nv int, now uint64) {
 	}
 }
 
-// allocVC claims a free downstream VC in the given class, returning its
-// index or -1. A VC whose previous packet's tail has been sent becomes free
-// again once all its credits have returned (the downstream buffer drained),
-// which prevents a new header from arriving behind a still-buffered tail.
-func (l *outLink) allocVC(c Class, n *Network) int {
-	lo, hi := n.classVCRange(c)
-	for v := lo; v < hi; v++ {
-		if l.busy[v] && l.tailSent[v] && l.credits[v] == n.bufDepth {
-			l.busy[v] = false
-			l.tailSent[v] = false
-		}
-		if !l.busy[v] {
-			l.busy[v] = true
-			return v
-		}
-	}
-	return -1
-}
-
-// saCandidate is one (port, vc) pair competing for an output port.
+// saCandidate is one input VC (by mask bit) competing for an output port.
 type saCandidate struct {
-	port Port
-	vc   int
+	b    int
 	prio int
 }
 
@@ -262,24 +297,21 @@ func (r *Router) switchAlloc(now uint64) {
 	if r.saReady == 0 {
 		return
 	}
-	// The candidate lists live on the router and are re-sliced to length zero
-	// each cycle: after warmup the backing arrays reach steady-state capacity
-	// and the SA stage allocates nothing (saCandidate holds no pointers, so
-	// the retained arrays pin no packet memory).
+	// The candidate lists live on the router and are left at length zero
+	// after each use: after warmup the backing arrays reach steady-state
+	// capacity and the SA stage allocates nothing (saCandidate holds no
+	// pointers, so the retained arrays pin no packet memory). ports records
+	// which lists are non-empty.
 	cands := &r.saCands
-	for p := range cands {
-		cands[p] = cands[p][:0]
-	}
+	var ports uint8
 	// Ascending bit order is ascending (port, vc) order, the order in which
 	// candidates reach Priority.
-	nv := r.net.numVCs
 	for m := r.saReady; m != 0; m &= m - 1 {
 		b := bits.TrailingZeros64(m)
-		port, vc := Port(b/nv), b%nv
-		st := &r.in[port].vcs[vc]
+		st := &r.vcs[b]
 		// The flit spends at least one cycle in stage 1 (RC/VA) before
 		// competing for the switch in stage 2.
-		if now < st.head().readyAt+1 {
+		if now <= st.headReady {
 			continue
 		}
 		ol := r.out[st.outPort]
@@ -292,47 +324,45 @@ func (r *Router) switchAlloc(now uint64) {
 			continue
 		}
 		cands[st.outPort] = append(cands[st.outPort], saCandidate{
-			port: port,
-			vc:   vc,
+			b:    b,
 			prio: r.net.priority(r.id, st.pkt, now),
 		})
+		ports |= 1 << uint(st.outPort)
 	}
-	for port := Port(0); port < NumPorts; port++ {
+	for ; ports != 0; ports &= ports - 1 {
+		port := bits.TrailingZeros8(ports)
 		ol := r.out[port]
-		if ol == nil || len(cands[port]) == 0 {
-			continue
-		}
 		list := cands[port]
 		for slot := 0; slot < ol.width && len(list) > 0; slot++ {
-			win := pickWinner(list, ol.rr, r.numVCs())
+			win := pickWinner(list, ol.rr, len(r.vcs))
 			c := list[win]
-			ol.rr = int(c.port)*r.numVCs() + c.vc + 1
-			r.forward(c.port, c.vc, ol, now)
+			ol.rr = c.b + 1
+			r.forward(c.b, ol, now)
 			// On wide TSBs a second flit of the same packet may be combined
 			// into this cycle (the XShare-style 2x128b transfer of Section
 			// 3.4); keep the VC in the list while it still has a ready flit.
-			st := &r.in[c.port].vcs[c.vc]
-			if st.pkt != nil && st.outVC >= 0 && !st.empty() &&
-				now >= st.head().readyAt+1 && ol.credits[st.outVC] > 0 {
+			st := &r.vcs[c.b]
+			if r.saReady&(1<<uint(c.b)) != 0 && now > st.headReady && ol.credits[st.outVC] > 0 {
 				list[win] = c
 			} else {
 				list = append(list[:win], list[win+1:]...)
 			}
 		}
+		cands[port] = list[:0]
 	}
 }
 
 // pickWinner selects the candidate with the lowest priority value, breaking
-// ties round-robin starting from pointer rr (an index into the port*vc
-// space).
-func pickWinner(list []saCandidate, rr, numVCs int) int {
+// ties round-robin starting from pointer rr, a mask bit in [0, total].
+func pickWinner(list []saCandidate, rr, total int) int {
 	best := -1
 	bestPrio := 0
 	bestDist := 0
-	total := int(NumPorts) * numVCs
 	for i, c := range list {
-		idx := int(c.port)*numVCs + c.vc
-		dist := (idx - rr + total) % total
+		dist := c.b - rr
+		if dist < 0 {
+			dist += total
+		}
 		if best == -1 || c.prio < bestPrio || (c.prio == bestPrio && dist < bestDist) {
 			best, bestPrio, bestDist = i, c.prio, dist
 		}
@@ -341,7 +371,7 @@ func pickWinner(list []saCandidate, rr, numVCs int) int {
 }
 
 // forward is the phase-A half of a switch grant: it moves the head flit of
-// (port, vc) out of this router's input buffer, charges this router's own
+// input VC b out of this router's input buffer, charges this router's own
 // output-link credit, and logs the grant for commitOps. Switch traversal is
 // this cycle, link traversal next, arrival the cycle after (HopLatency total
 // per hop including the stage-1 cycle).
@@ -352,28 +382,28 @@ func pickWinner(list []saCandidate, rr, numVCs int) int {
 // return, downstream buffering, prioritizer charge, traversal stats) are
 // deferred into r.ops and applied by commitOps after every router's phase A
 // has finished, so every decision reads the frozen cycle-N state.
-func (r *Router) forward(port Port, vc int, ol *outLink, now uint64) {
-	ip := r.in[port]
-	st := &ip.vcs[vc]
-	f := st.pop()
+func (r *Router) forward(b int, ol *outLink, now uint64) {
+	st := &r.vcs[b]
+	f := r.pop(st)
 	r.bufferedFlits--
 	outVC := st.outVC
 
 	ol.credits[outVC]--
 
 	if f.Tail {
-		// Tail releases this input VC immediately; the downstream VC
-		// ownership is released lazily once its buffer drains (see allocVC).
-		ol.tailSent[outVC] = true
+		// Tail releases this input VC immediately; the downstream VC frees
+		// once its buffer drains (see returnCredit).
+		ol.tailSent |= 1 << uint(outVC)
 		st.pkt = nil
 		st.outVC = -1
 	}
-	if f.Tail || st.empty() {
-		r.saReady &^= r.vcBit(port, vc)
+	if f.Tail || st.n == 0 {
+		r.saReady &^= 1 << uint(b)
 	}
 
 	f.readyAt = now + 2 // ST this cycle, link next; available downstream after
-	r.ops = append(r.ops, fwdOp{f: f, feeder: ip.feeder, ol: ol, fvc: int32(vc), outVC: int32(outVC)})
+	nv := r.net.numVCs
+	r.ops = append(r.ops, fwdOp{f: f, feeder: r.feeder[b/nv], ol: ol, fvc: int8(b % nv), outVC: outVC})
 }
 
 // commitOps applies the cross-router half of this router's phase-A grants:
@@ -386,9 +416,7 @@ func (r *Router) commitOps(now uint64) {
 	n := r.net
 	for i := range r.ops {
 		op := &r.ops[i]
-		if op.feeder != nil {
-			op.feeder.credits[op.fvc]++
-		}
+		op.feeder.returnCredit(op.fvc, r.depth)
 		if op.f.IsHead() {
 			op.f.Pkt.Hops++
 			if pr := n.prioritizer; pr != nil {
@@ -402,7 +430,7 @@ func (r *Router) commitOps(now uint64) {
 		if op.ol.dst == nil {
 			n.nics[r.id].receive(op.f, now+2)
 			// The NIC sinks ejected flits unconditionally; return the credit.
-			op.ol.credits[op.outVC]++
+			op.ol.returnCredit(op.outVC, r.depth)
 		} else {
 			op.ol.dst.acceptFlit(op.ol.dstPort, int(op.outVC), op.f, now)
 		}
@@ -414,27 +442,21 @@ func (r *Router) commitOps(now uint64) {
 }
 
 // occupancy returns the used and total flit-buffer slots of the router, the
-// raw material for the RCA congestion estimate. Both come from counters — the
-// RCA estimator polls every router every cycle, so this must not walk the VC
-// states.
+// raw material for the RCA congestion estimate. The RCA estimator polls
+// every router every cycle, so this must not walk the VC states: used is a
+// counter and the capacity is the slab size.
 func (r *Router) occupancy() (used, capacity int) {
-	return r.bufferedFlits, r.bufCap
+	return r.bufferedFlits, len(r.slab)
 }
 
 // ForEachBufferedPacket invokes fn once per packet currently occupying one of
 // the router's input VCs (the header may already be partially forwarded for
-// in-flight wormholes; such packets are still reported). Used by the
-// characterization experiments (Figure 3, Figure 13).
+// in-flight wormholes; such packets are still reported), in ascending (port,
+// vc) order. Used by the characterization experiments (Figure 3, Figure 13).
 func (r *Router) ForEachBufferedPacket(fn func(*Packet)) {
-	for port := Port(0); port < NumPorts; port++ {
-		ip := r.in[port]
-		if ip == nil {
-			continue
-		}
-		for vc := range ip.vcs {
-			if p := ip.vcs[vc].pkt; p != nil && !ip.vcs[vc].empty() {
-				fn(p)
-			}
+	for b := range r.vcs {
+		if st := &r.vcs[b]; st.pkt != nil && st.n > 0 {
+			fn(st.pkt)
 		}
 	}
 }

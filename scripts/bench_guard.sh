@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # bench_guard.sh — performance regression guard over the checked-in baseline
-# (BENCH_baseline.json at the repo root). Three benchmarks are gated:
+# (BENCH_baseline.json at the repo root). Four benchmarks are gated:
 #
 #   BenchmarkTracingDisabled   the observability disabled path: a full
 #                              simulator cycle with tracing compiled in but
@@ -8,6 +8,9 @@
 #   BenchmarkSteadyStateCycle  the zero-allocation contract: a warmed WB
 #                              simulator cycle must stay at 0 allocs/op
 #                              (DESIGN.md §13)
+#   BenchmarkNetworkTickLoaded the router layer alone: a warmed paper
+#                              network taking one 9-flit write per cycle
+#                              must stay at 0 allocs/op (DESIGN.md §13)
 #   BenchmarkFullRun/wb        end-to-end sim.Run wall clock and total
 #                              allocation count for the heaviest scheme
 #
@@ -36,7 +39,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 BASELINE=BENCH_baseline.json
-BENCHES=(BenchmarkTracingDisabled BenchmarkSteadyStateCycle BenchmarkFullRun/wb)
+BENCHES=(BenchmarkTracingDisabled BenchmarkSteadyStateCycle BenchmarkNetworkTickLoaded BenchmarkFullRun/wb)
 COUNT=6
 BENCHTIME=500ms
 # Wall-clock gate: loose enough to ignore scheduler jitter on a busy host
@@ -57,7 +60,7 @@ host_key="$(uname -sm | tr ' ' '-')-$(nproc)c"
 # the leaf benchmarks, so they cannot share one -bench expression.
 run_bench() {
     {
-        go test -run '^$' -bench '^(BenchmarkTracingDisabled|BenchmarkSteadyStateCycle)$' \
+        go test -run '^$' -bench '^(BenchmarkTracingDisabled|BenchmarkSteadyStateCycle|BenchmarkNetworkTickLoaded)$' \
             -benchmem -benchtime "$BENCHTIME" -count "$COUNT" .
         go test -run '^$' -bench '^BenchmarkFullRun$/^wb$' \
             -benchmem -benchtime "$BENCHTIME" -count "$COUNT" .
