@@ -13,8 +13,8 @@
 //	        [-server http://host:8080]
 //
 // With no axis flags the sweep covers every registered tech profile at the
-// paper's 8x8x2 shape. -server evaluates points against a live sttsimd
-// instead of in-process.
+// paper's 8x8x2 shape. -server posts each point's job spec to a live sttsimd
+// instead of evaluating in-process.
 package main
 
 import (
@@ -33,7 +33,6 @@ import (
 	"sttsim/internal/mem"
 	"sttsim/internal/sim"
 	"sttsim/internal/version"
-	"sttsim/internal/workload"
 	api "sttsim/pkg/sttsim"
 )
 
@@ -47,7 +46,7 @@ func run() int {
 	tech := flag.String("tech", "", "comma-separated tech-profile axis (empty = all registered: "+
 		strings.Join(mem.ProfileNames(), ", ")+")")
 	topo := flag.String("topo", "", "comma-separated topology axis as XxYxL shapes (empty = fixed 8x8x2)")
-	regions := flag.String("regions", "", "comma-separated region-count axis (4, 8, 16)")
+	regions := flag.String("regions", "", "comma-separated region-count axis (4, 8, 16; staggered TSB placement)")
 	hops := flag.String("hops", "", "comma-separated re-ordering distance axis")
 	wbuf := flag.String("wbuf", "", "comma-separated write-buffer depth axis")
 	warmup := flag.Uint64("warmup", 0, "warmup cycles per evaluation (0 = default)")
@@ -76,26 +75,16 @@ func run() int {
 		return 2
 	}
 
-	var assignment workload.Assignment
-	switch *bench {
-	case "case1":
-		assignment = workload.Case1()
-	case "case2":
-		assignment = workload.Case2()
-	default:
-		prof, err := workload.ByName(*bench)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 2
-		}
-		assignment = workload.Homogeneous(prof)
-	}
-	base := sim.Config{
-		Scheme:        sim.SchemeSTT4TSBWB,
-		Assignment:    assignment,
+	base := api.JobSpec{
+		Scheme:        "wb",
+		Bench:         *bench,
 		Seed:          *seed,
 		WarmupCycles:  *warmup,
 		MeasureCycles: *measure,
+	}
+	if _, err := sim.FromSpec(base); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		return 2
 	}
 
 	var axes []explore.Axis
@@ -167,7 +156,7 @@ func run() int {
 			fmt.Fprintln(os.Stderr, cerr)
 			return 2
 		}
-		x.RunFunc = explore.RemoteRunFunc(client, *bench)
+		x.Client = client
 	}
 
 	// SIGINT/SIGTERM drain the campaign gracefully: the journal keeps every

@@ -17,7 +17,6 @@ import (
 	"os"
 	"strings"
 
-	"sttsim/internal/core"
 	"sttsim/internal/mem"
 	"sttsim/internal/noc"
 	"sttsim/internal/obs"
@@ -25,7 +24,7 @@ import (
 	"sttsim/internal/sim"
 	"sttsim/internal/stats"
 	"sttsim/internal/version"
-	"sttsim/internal/workload"
+	api "sttsim/pkg/sttsim"
 )
 
 // jsonReport is the machine-readable shape of a run (-json flag).
@@ -97,32 +96,6 @@ func run() int {
 		}
 	}()
 
-	scheme, err := sim.ParseScheme(*schemeName)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 2
-	}
-
-	var assignment workload.Assignment
-	switch *bench {
-	case "case1":
-		assignment = workload.Case1()
-	case "case2":
-		assignment = workload.Case2()
-	default:
-		prof, err := workload.ByName(*bench)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 2
-		}
-		assignment = workload.Homogeneous(prof)
-	}
-
-	placement := core.PlacementCorner
-	if *stagger {
-		placement = core.PlacementStagger
-	}
-
 	var topoShape noc.Topology
 	if *topoName != "" {
 		t, terr := noc.ParseTopology(*topoName)
@@ -132,13 +105,26 @@ func run() int {
 		}
 		topoShape = t
 	}
-
-	if *techName != "" {
-		if _, ok := mem.LookupProfile(*techName); !ok {
-			fmt.Fprintf(os.Stderr, "unknown tech profile %q (registered: %s)\n",
-				*techName, strings.Join(mem.ProfileNames(), ", "))
-			return 2
-		}
+	cfg, err := sim.FromSpec(api.JobSpec{
+		Scheme:             *schemeName,
+		Bench:              *bench,
+		TechProfile:        *techName,
+		MeshX:              topoShape.MeshX,
+		MeshY:              topoShape.MeshY,
+		Layers:             topoShape.Layers,
+		Seed:               *seed,
+		WarmupCycles:       *warmup,
+		MeasureCycles:      *measure,
+		Regions:            *regions,
+		Corner:             !*stagger,
+		Hops:               *hops,
+		WriteBufferEntries: *writebuf,
+		ReadPreemption:     *preempt,
+		ExtraReqVC:         *plus1vc,
+	})
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		return 2
 	}
 
 	if *decompose && *tracePath == "" {
@@ -169,25 +155,8 @@ func run() int {
 		}
 	}
 
-	res, rerr := sim.Run(sim.Config{
-		Scheme:             scheme,
-		TechProfile:        *techName,
-		MeshX:              topoShape.MeshX,
-		MeshY:              topoShape.MeshY,
-		Layers:             topoShape.Layers,
-		Assignment:         assignment,
-		Seed:               *seed,
-		WarmupCycles:       *warmup,
-		MeasureCycles:      *measure,
-		Regions:            *regions,
-		Placement:          placement,
-		PlacementSet:       true,
-		Hops:               *hops,
-		WriteBufferEntries: *writebuf,
-		ReadPreemption:     *preempt,
-		ExtraReqVC:         *plus1vc,
-		Obs:                obsCfg,
-	})
+	cfg.Obs = obsCfg
+	res, rerr := sim.Run(cfg)
 	if sink != nil {
 		// Flush buffered events before reporting (and before -decompose
 		// reads the file back).
@@ -253,10 +222,12 @@ func run() int {
 		res.Energy.NetworkDynamicJ, res.Energy.NetworkLeakageJ)
 	fmt.Printf("write shadow      %.1f%% of bank accesses within 33 cycles of a write\n",
 		res.GapHist.Percent(0)+res.GapHist.Percent(1))
+	fmt.Printf("2-hop buffering   %.2f requests per occupied router\n", res.HopReqs[2])
 	if res.Arbiter != nil {
 		fmt.Printf("arbiter           %d delay decisions, %d reads + %d writes via parents\n",
 			res.Arbiter.DelayDecisions, res.Arbiter.ForwardedReads, res.Arbiter.ForwardedWrites)
 	}
+	fmt.Printf("\naccess-after-write gap distribution\n%s", res.GapHist)
 	if *decompose {
 		if derr := runDecompose(*tracePath); derr != nil {
 			fmt.Fprintln(os.Stderr, "decompose:", derr)

@@ -2,6 +2,7 @@ package exp
 
 import (
 	"strings"
+	"sync"
 	"testing"
 
 	"sttsim/internal/fault"
@@ -9,15 +10,25 @@ import (
 	"sttsim/internal/workload"
 )
 
-// tinyRunner keeps experiment tests fast: few benchmarks, short windows.
-// Full-system experiment sweeps are still the slowest tests in the repo, so
-// they are skipped under -short (the `make race` pass).
+var (
+	sharedRunnerOnce sync.Once
+	sharedRunner     *Runner
+)
+
+// tinyRunner keeps experiment tests fast: few benchmarks, short windows, and
+// one fingerprint-memoized runner shared by every test, so figures that
+// overlap (the SRAM baselines, alone-IPC references) simulate each config
+// once per package run. Full-system experiment sweeps are still the slowest
+// tests in the repo, so they are skipped under -short (the `make race` pass).
 func tinyRunner(t *testing.T) *Runner {
 	t.Helper()
 	if testing.Short() {
 		t.Skip("full-system experiment sweep; skipped in -short mode")
 	}
-	return NewRunner(Options{Quick: true, WarmupCycles: 1500, MeasureCycles: 4000})
+	sharedRunnerOnce.Do(func() {
+		sharedRunner = NewRunner(Options{Quick: true, WarmupCycles: 1500, MeasureCycles: 4000})
+	})
+	return sharedRunner
 }
 
 func TestRunnerMemoizes(t *testing.T) {

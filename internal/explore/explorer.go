@@ -13,7 +13,6 @@ import (
 	"strings"
 
 	"sttsim/internal/campaign"
-	"sttsim/internal/core"
 	"sttsim/internal/sim"
 	api "sttsim/pkg/sttsim"
 )
@@ -28,9 +27,9 @@ type Explorer struct {
 	// Policy tunes the underlying campaign engine (Jobs bounds parallelism).
 	Policy campaign.Policy
 
-	// RunFunc substitutes the evaluator; nil runs sim.RunContext in-process.
-	// RemoteRunFunc builds one that evaluates against a live sttsimd.
-	RunFunc campaign.RunFunc
+	// Client, when non-nil, evaluates every point on a live sttsimd: the
+	// point's own job spec is posted through the SDK. Nil runs in-process.
+	Client *api.Client
 
 	// JournalPath checkpoints every finished evaluation; "" disables.
 	// With Resume, finished runs replay from the journal instead of
@@ -89,9 +88,6 @@ func (x *Explorer) Run(ctx context.Context) (*Report, error) {
 	}
 
 	eng := campaign.NewWithContext(ctx, x.Policy)
-	if x.RunFunc != nil {
-		eng.SetRunFunc(x.RunFunc)
-	}
 	defer eng.Close()
 	if x.JournalPath != "" {
 		if x.Resume {
@@ -123,14 +119,22 @@ func (x *Explorer) Run(ctx context.Context) (*Report, error) {
 		}
 		slots := make([]slot, len(pts))
 		for i, p := range pts {
-			cfg, err := x.Space.Config(p)
+			spec, err := x.Space.bind(p)
+			var cfg sim.Config
+			if err == nil {
+				spec.MeasureCycles = budget
+				cfg, err = sim.FromSpec(spec)
+			}
 			if err != nil {
 				slots[i].err = err
 				continue
 			}
-			cfg.MeasureCycles = budget
+			var run campaign.RunFunc
+			if x.Client != nil {
+				run = remoteRun(x.Client, spec)
+			}
 			slots[i].cfg = cfg
-			slots[i].handle = eng.SubmitKeyed(cfg.Fingerprint(), cfg, nil)
+			slots[i].handle = eng.SubmitKeyed(cfg.Fingerprint(), cfg, run)
 		}
 		out := make([]*Evaluation, len(pts))
 		for i, p := range pts {
@@ -297,37 +301,11 @@ func (r *Report) WriteOutputs(dir string) error {
 	return nil
 }
 
-// RemoteRunFunc builds a campaign.RunFunc that evaluates configurations
-// against a live sttsimd through the client SDK: the config is rendered back
-// into a wire JobSpec (bench carries the workload name — mixes are not
-// expressible on the wire), the job runs remotely, and the canonical result
-// bytes decode into the same sim.Result an in-process run returns.
-func RemoteRunFunc(c *api.Client, bench string) campaign.RunFunc {
-	return func(ctx context.Context, cfg sim.Config) (*sim.Result, error) {
-		spec := api.JobSpec{
-			Scheme:                strings.ToLower(cfg.Scheme.String()),
-			Bench:                 bench,
-			Seed:                  cfg.Seed,
-			WarmupCycles:          cfg.WarmupCycles,
-			MeasureCycles:         cfg.MeasureCycles,
-			Regions:               cfg.Regions,
-			Hops:                  cfg.Hops,
-			WriteBufferEntries:    cfg.WriteBufferEntries,
-			ReadPreemption:        cfg.ReadPreemption,
-			ExtraReqVC:            cfg.ExtraReqVC,
-			WBWindow:              cfg.WBWindow,
-			HoldCap:               cfg.HoldCap,
-			BankQueueDepth:        cfg.BankQueueDepth,
-			HybridSRAMBanks:       cfg.HybridSRAMBanks,
-			EarlyWriteTermination: cfg.EarlyWriteTermination,
-			AuditInterval:         cfg.AuditInterval,
-			WatchdogCycles:        cfg.WatchdogCycles,
-			TechProfile:           cfg.TechProfile,
-			MeshX:                 cfg.MeshX,
-			MeshY:                 cfg.MeshY,
-			Layers:                cfg.Layers,
-			Corner:                cfg.PlacementSet && cfg.Placement == core.PlacementCorner,
-		}
+// remoteRun evaluates spec on a live sttsimd through the client SDK; the
+// canonical result bytes decode into the same sim.Result an in-process run
+// returns.
+func remoteRun(c *api.Client, spec api.JobSpec) campaign.RunFunc {
+	return func(ctx context.Context, _ sim.Config) (*sim.Result, error) {
 		_, data, err := c.Run(ctx, spec)
 		if err != nil {
 			return nil, err

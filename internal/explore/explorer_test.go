@@ -3,13 +3,15 @@ package explore
 import (
 	"bytes"
 	"context"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 
 	"sttsim/internal/campaign"
-	"sttsim/internal/sim"
-	"sttsim/internal/workload"
+	"sttsim/internal/service"
+	api "sttsim/pkg/sttsim"
 )
 
 // smallSpace is a real three-axis space kept tiny enough for unit tests:
@@ -28,10 +30,11 @@ func smallSpace(t *testing.T, measure uint64) *Space {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := sim.Config{
-		Scheme:        sim.SchemeSTT4TSBWB,
-		Assignment:    workload.Case1(),
+	base := api.JobSpec{
+		Scheme:        "wb",
+		Bench:         "case1",
 		Regions:       4,
+		Corner:        true,
 		WarmupCycles:  200,
 		MeasureCycles: measure,
 		Seed:          7,
@@ -217,5 +220,71 @@ func TestExplorerOutputsWrite(t *testing.T) {
 		if err != nil || fi.Size() == 0 {
 			t.Fatalf("artifact %s missing or empty (err=%v)", name, err)
 		}
+	}
+}
+
+// TestExplorerRemoteMatchesLocal: with a Client, each point's own spec is
+// evaluated on a live daemon, and the frontier is byte-identical to the
+// in-process run of the same space.
+func TestExplorerRemoteMatchesLocal(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulation sweep")
+	}
+	space := func() *Space {
+		tech, err := TechAxis("sttram", "sttram-rr10")
+		if err != nil {
+			t.Fatal(err)
+		}
+		wbuf, err := WriteBufferAxis(0, 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		base := api.JobSpec{
+			Scheme: "wb", Bench: "tpcc", Seed: 7,
+			WarmupCycles: 200, MeasureCycles: 2000,
+			MeshX: 4, MeshY: 4, Layers: 2, Regions: 4,
+		}
+		s, err := NewSpace(base, tech, wbuf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	pareto := func(rep *Report) []byte {
+		var buf bytes.Buffer
+		if err := rep.WritePareto(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+
+	local := runExplorer(t, &Explorer{Space: space(), Strategy: Grid{}, Policy: campaign.Policy{Jobs: 2}})
+
+	eng := campaign.New(campaign.Policy{Jobs: 2})
+	srv, err := service.NewServer(service.Options{Engine: eng, Version: "test"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	defer func() {
+		ts.Close()
+		eng.Interrupt()
+		eng.Drain()
+	}()
+	client, err := api.New(ts.URL, api.WithPollInterval(5*time.Millisecond))
+	if err != nil {
+		t.Fatal(err)
+	}
+	remote := runExplorer(t, &Explorer{
+		Space: space(), Strategy: Grid{}, Policy: campaign.Policy{Jobs: 2}, Client: client,
+	})
+	if len(remote.Failures) > 0 {
+		t.Fatalf("remote evaluation failed: %+v", remote.Failures)
+	}
+	if got := srv.Stats().Engine.Executed; got != 4 {
+		t.Fatalf("daemon executed %d run(s), want the space's 4 points", got)
+	}
+	if l, r := pareto(local), pareto(remote); len(l) == 0 || !bytes.Equal(l, r) {
+		t.Fatalf("remote frontier differs from in-process:\n--- local\n%s--- remote\n%s", l, r)
 	}
 }

@@ -22,14 +22,12 @@ import (
 )
 
 // Axis is one sweep dimension: a named, ordered list of values and the rule
-// for binding a value into a sim.Config (and, when the axis is expressible on
-// the wire, into a service JobSpec for remote evaluation).
+// for binding a value into a job spec.
 type Axis struct {
 	Name   string
 	Values []string
 
-	apply func(*sim.Config, string) error
-	spec  func(*api.JobSpec, string) error // nil: local-only axis
+	set func(*api.JobSpec, string) error
 }
 
 // TechAxis sweeps registered technology profiles. With no arguments it
@@ -47,12 +45,7 @@ func TechAxis(names ...string) (Axis, error) {
 	return Axis{
 		Name:   "tech",
 		Values: names,
-		apply: func(c *sim.Config, v string) error {
-			c.TechProfile = v
-			c.CustomTech = nil
-			return nil
-		},
-		spec: func(s *api.JobSpec, v string) error {
+		set: func(s *api.JobSpec, v string) error {
 			s.TechProfile = v
 			return nil
 		},
@@ -75,15 +68,7 @@ func TopoAxis(shapes ...string) (Axis, error) {
 	return Axis{
 		Name:   "topo",
 		Values: canon,
-		apply: func(c *sim.Config, v string) error {
-			t, err := noc.ParseTopology(v)
-			if err != nil {
-				return err
-			}
-			c.MeshX, c.MeshY, c.Layers = t.MeshX, t.MeshY, t.Layers
-			return nil
-		},
-		spec: func(s *api.JobSpec, v string) error {
+		set: func(s *api.JobSpec, v string) error {
 			t, err := noc.ParseTopology(v)
 			if err != nil {
 				return err
@@ -108,40 +93,30 @@ func SchemeAxis(names ...string) (Axis, error) {
 	return Axis{
 		Name:   "scheme",
 		Values: names,
-		apply: func(c *sim.Config, v string) error {
-			var err error
-			c.Scheme, err = sim.ParseScheme(v)
-			return err
-		},
-		spec: func(s *api.JobSpec, v string) error {
+		set: func(s *api.JobSpec, v string) error {
 			s.Scheme = v
 			return nil
 		},
 	}, nil
 }
 
-// RegionsAxis sweeps the region count (4, 8, or 16).
+// RegionsAxis sweeps the region count (4, 8, or 16). Placement follows the
+// base spec's corner flag: staggered unless the base sets corner.
 func RegionsAxis(counts ...int) (Axis, error) {
-	return intAxis("regions", counts,
-		func(c *sim.Config, n int) { c.Regions = n },
-		func(s *api.JobSpec, n int) { s.Regions = n })
+	return intAxis("regions", counts, func(s *api.JobSpec, n int) { s.Regions = n })
 }
 
 // HopsAxis sweeps the parent-child re-ordering distance.
 func HopsAxis(counts ...int) (Axis, error) {
-	return intAxis("hops", counts,
-		func(c *sim.Config, n int) { c.Hops = n },
-		func(s *api.JobSpec, n int) { s.Hops = n })
+	return intAxis("hops", counts, func(s *api.JobSpec, n int) { s.Hops = n })
 }
 
 // WriteBufferAxis sweeps the per-bank write-buffer depth (0 disables).
 func WriteBufferAxis(entries ...int) (Axis, error) {
-	return intAxis("wbuf", entries,
-		func(c *sim.Config, n int) { c.WriteBufferEntries = n },
-		func(s *api.JobSpec, n int) { s.WriteBufferEntries = n })
+	return intAxis("wbuf", entries, func(s *api.JobSpec, n int) { s.WriteBufferEntries = n })
 }
 
-func intAxis(name string, vals []int, set func(*sim.Config, int), setSpec func(*api.JobSpec, int)) (Axis, error) {
+func intAxis(name string, vals []int, set func(*api.JobSpec, int)) (Axis, error) {
 	if len(vals) == 0 {
 		return Axis{}, fmt.Errorf("explore: %s axis needs at least one value", name)
 	}
@@ -152,20 +127,12 @@ func intAxis(name string, vals []int, set func(*sim.Config, int), setSpec func(*
 	return Axis{
 		Name:   name,
 		Values: strs,
-		apply: func(c *sim.Config, v string) error {
+		set: func(s *api.JobSpec, v string) error {
 			n, err := strconv.Atoi(v)
 			if err != nil {
 				return fmt.Errorf("explore: %s axis value %q: %w", name, v, err)
 			}
-			set(c, n)
-			return nil
-		},
-		spec: func(s *api.JobSpec, v string) error {
-			n, err := strconv.Atoi(v)
-			if err != nil {
-				return err
-			}
-			setSpec(s, n)
+			set(s, n)
 			return nil
 		},
 	}, nil
@@ -177,22 +144,22 @@ type Point struct {
 	ID     string // canonical "axis=value,..." rendering
 }
 
-// Space is a parameter space over a base configuration: the cartesian product
-// of its axes, minus the points the simulator's own validation rejects.
+// Space is a parameter space over a base job spec: the cartesian product of
+// its axes, minus the points sim.FromSpec rejects.
 type Space struct {
 	// Base carries everything the axes do not touch: workload, cycles, seed.
-	Base sim.Config
+	Base api.JobSpec
 	Axes []Axis
 }
 
-// NewSpace validates the axes (non-empty, unique names) over a base config.
-func NewSpace(base sim.Config, axes ...Axis) (*Space, error) {
+// NewSpace validates the axes (non-empty, unique names) over a base spec.
+func NewSpace(base api.JobSpec, axes ...Axis) (*Space, error) {
 	if len(axes) == 0 {
 		return nil, fmt.Errorf("explore: a space needs at least one axis")
 	}
 	seen := map[string]bool{}
 	for _, a := range axes {
-		if a.Name == "" || len(a.Values) == 0 || a.apply == nil {
+		if a.Name == "" || len(a.Values) == 0 || a.set == nil {
 			return nil, fmt.Errorf("explore: malformed axis %q", a.Name)
 		}
 		if seen[a.Name] {
@@ -228,36 +195,27 @@ func (s *Space) pointID(vals []string) string {
 	return strings.Join(parts, ",")
 }
 
-// Config binds a point into a full runnable configuration and validates it.
-func (s *Space) Config(p Point) (sim.Config, error) {
+// bind applies a point's values to the base spec.
+func (s *Space) bind(p Point) (api.JobSpec, error) {
 	if len(p.Values) != len(s.Axes) {
-		return sim.Config{}, fmt.Errorf("explore: point %q has %d values for %d axes", p.ID, len(p.Values), len(s.Axes))
+		return api.JobSpec{}, fmt.Errorf("explore: point %q has %d values for %d axes", p.ID, len(p.Values), len(s.Axes))
 	}
-	cfg := s.Base
+	spec := s.Base
 	for i, a := range s.Axes {
-		if err := a.apply(&cfg, p.Values[i]); err != nil {
-			return sim.Config{}, err
-		}
-	}
-	if err := cfg.Validate(); err != nil {
-		return sim.Config{}, err
-	}
-	return cfg, nil
-}
-
-// Spec binds a point into a service JobSpec over a base spec — the remote
-// twin of Config. It fails on axes that are not expressible on the wire.
-func (s *Space) Spec(base api.JobSpec, p Point) (api.JobSpec, error) {
-	spec := base
-	for i, a := range s.Axes {
-		if a.spec == nil {
-			return api.JobSpec{}, fmt.Errorf("explore: axis %q cannot be evaluated remotely", a.Name)
-		}
-		if err := a.spec(&spec, p.Values[i]); err != nil {
+		if err := a.set(&spec, p.Values[i]); err != nil {
 			return api.JobSpec{}, err
 		}
 	}
 	return spec, nil
+}
+
+// Config binds a point into a full runnable, validated configuration.
+func (s *Space) Config(p Point) (sim.Config, error) {
+	spec, err := s.bind(p)
+	if err != nil {
+		return sim.Config{}, err
+	}
+	return sim.FromSpec(spec)
 }
 
 // Points enumerates every valid point in deterministic lexicographic axis

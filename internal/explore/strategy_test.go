@@ -5,17 +5,16 @@ import (
 	"reflect"
 	"testing"
 
-	"sttsim/internal/sim"
-	"sttsim/internal/workload"
+	api "sttsim/pkg/sttsim"
 )
 
 // fakeSpace builds a small pure-synthetic space; the fake BatchFunc never
 // binds configs, so the base just has to validate.
 func fakeSpace(t *testing.T, axisSizes ...int) *Space {
 	t.Helper()
-	base := sim.Config{
-		Scheme:        sim.SchemeSTT4TSBWB,
-		Assignment:    workload.Case1(),
+	base := api.JobSpec{
+		Scheme:        "wb",
+		Bench:         "case1",
 		WarmupCycles:  100,
 		MeasureCycles: 8000,
 	}
@@ -29,7 +28,7 @@ func fakeSpace(t *testing.T, axisSizes ...int) *Space {
 		axes[i] = Axis{
 			Name:   names[i],
 			Values: vals,
-			apply:  func(*sim.Config, string) error { return nil },
+			set:    func(*api.JobSpec, string) error { return nil },
 		}
 	}
 	s, err := NewSpace(base, axes...)
@@ -56,7 +55,7 @@ func (f *fakeBatch) fn(ctx context.Context, pts []Point, budget uint64) ([]*Eval
 	out := make([]*Evaluation, len(pts))
 	for i, p := range pts {
 		f.totalCycles += budget
-		f.perBudget[budget] += len(pts[i:i+1])
+		f.perBudget[budget] += len(pts[i : i+1])
 		// A stable synthetic score: hash of the ID.
 		h := uint64(14695981039346656037)
 		for _, c := range []byte(p.ID) {

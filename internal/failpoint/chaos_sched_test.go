@@ -119,7 +119,7 @@ func chaosExpected(t *testing.T, spec string) (key string, body []byte) {
 	if err := json.Unmarshal([]byte(spec), &js); err != nil {
 		t.Fatal(err)
 	}
-	cfg, err := service.SpecConfig(js)
+	cfg, err := sim.FromSpec(js)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -392,7 +392,7 @@ func TestCoordinatorRequeuePendingFromJournal(t *testing.T) {
 	if err := json.Unmarshal([]byte(e2eSpec), &spec); err != nil {
 		t.Fatal(err)
 	}
-	cfg, err := SpecConfig(spec)
+	cfg, err := sim.FromSpec(spec)
 	if err != nil {
 		t.Fatal(err)
 	}

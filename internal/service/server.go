@@ -339,7 +339,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "invalid job body: "+err.Error(), 0)
 		return
 	}
-	cfg, err := SpecConfig(spec)
+	cfg, err := sim.FromSpec(spec)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err.Error(), 0)
 		return

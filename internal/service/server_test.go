@@ -130,6 +130,7 @@ func TestHostileSpecsRejectedWith400(t *testing.T) {
 		{"no workload", `{"scheme":"stt4"}`},
 		{"bench and profiles", `{"scheme":"stt4","bench":"milc","profiles":[{"name":"x","l2_mpki":1}]}`},
 		{"unknown bench", `{"scheme":"stt4","bench":"doom"}`},
+		{"unknown tech", `{"scheme":"stt4","bench":"milc","tech_profile":"no-such-tech"}`},
 		{"NaN literal", `{"scheme":"stt4","profiles":[{"name":"x","l2_mpki":NaN}]}`},
 		{"negative regions", `{"scheme":"stt4","bench":"milc","regions":-4}`},
 		{"bad region count", `{"scheme":"stt4","bench":"milc","regions":5}`},

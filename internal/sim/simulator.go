@@ -95,13 +95,15 @@ type mcWrapper struct {
 	reqFree []*mem.Request
 }
 
-// New builds a simulator for the given configuration.
+// New builds a simulator for the given configuration. It is the one
+// validation gate: a Config that Validate rejects returns its
+// *ValidationError and builds nothing.
 func New(cfg Config) (*Simulator, error) {
-	cfg = cfg.withDefaults()
-	topo := cfg.Topology()
-	if err := topo.Validate(); err != nil {
+	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	cfg = cfg.withDefaults()
+	topo := cfg.Topology()
 	am := cache.NewAddrMap(topo)
 	s := &Simulator{
 		cfg:     cfg,
@@ -120,12 +122,6 @@ func New(cfg Config) (*Simulator, error) {
 		}
 		s.faults = eng
 		s.failedTSBs = make(map[noc.NodeID]bool)
-		for _, f := range cfg.Fault.TSBFailures {
-			if f.Region >= cfg.Regions {
-				return nil, fmt.Errorf("sim: TSB failure targets region %d but the run has %d regions",
-					f.Region, cfg.Regions)
-			}
-		}
 	}
 
 	// Observability: the tracer and sampling registry exist only when asked

@@ -76,7 +76,9 @@ func finite(field string, v float64) error {
 // a valid value passes). It never panics and never mutates c. A nil return
 // guarantees New(c) cannot fail on geometry and that the run's resource
 // appetite is bounded; it does not guarantee the run succeeds — deadlocks,
-// watchdog trips, and fault-campaign outcomes are runtime verdicts.
+// watchdog trips, and fault-campaign outcomes are runtime verdicts. New
+// calls it first, so every run passes it; accepting a config allocates
+// nothing.
 func (c Config) Validate() error {
 	// Check the fault campaign's floats before default resolution: a NaN
 	// write-error rate fails Enabled() and would be silently normalized to
@@ -164,13 +166,16 @@ func (c Config) Validate() error {
 			{"l1_mpki", p.L1MPKI}, {"l2_mpki", p.L2MPKI},
 			{"l2_wpki", p.L2WPKI}, {"l2_rpki", p.L2RPKI},
 		} {
+			// The field name is formatted only on rejection: this loop runs
+			// for every core on every New, so it must not allocate.
+			if f.v >= 0 && f.v <= MaxPKI {
+				continue
+			}
 			field := fmt.Sprintf("assignment.profiles[%d].%s", i, f.name)
 			if err := finite(field, f.v); err != nil {
 				return err
 			}
-			if f.v < 0 || f.v > MaxPKI {
-				return invalid(field, "rate %g outside [0,%d]", f.v, MaxPKI)
-			}
+			return invalid(field, "rate %g outside [0,%d]", f.v, MaxPKI)
 		}
 	}
 

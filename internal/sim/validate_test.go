@@ -10,6 +10,7 @@ import (
 	"sttsim/internal/fault"
 	"sttsim/internal/mem"
 	"sttsim/internal/workload"
+	api "sttsim/pkg/sttsim"
 )
 
 // validBase is a config that must pass validation.
@@ -124,6 +125,11 @@ func TestValidateRejectsHostileConfigs(t *testing.T) {
 			if strings.HasPrefix(ve.Msg, ve.Field+":") {
 				t.Fatalf("rejection %q repeats its field name", err)
 			}
+			// New is the gate every run passes: it rejects the same
+			// config with the same typed error.
+			if _, err := New(cfg); !errors.As(err, &ve) {
+				t.Fatalf("New = %v, want a *ValidationError", err)
+			}
 		})
 	}
 }
@@ -135,6 +141,49 @@ func TestValidateNeverMutates(t *testing.T) {
 	if cfg.WarmupCycles != 0 || cfg.Regions != 0 || cfg.Hops != 0 {
 		t.Fatalf("Validate mutated its receiver: %+v", cfg)
 	}
+}
+
+// TestValidateAllocationFree: New runs Validate on every construction, so
+// accepting a config must not allocate.
+func TestValidateAllocationFree(t *testing.T) {
+	cfg := validBase()
+	cfg.TechProfile = "sttram-rr10"
+	if n := testing.AllocsPerRun(100, func() {
+		if err := cfg.Validate(); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Fatalf("Validate allocated %v times per call, want 0", n)
+	}
+}
+
+// FuzzFromSpec: arbitrary JSON decoded into a JobSpec either resolves to a
+// Config that New accepts or is a typed rejection — never a panic. This is
+// the guarantee behind the daemon's 400s and every other front end.
+func FuzzFromSpec(f *testing.F) {
+	f.Add([]byte(`{"scheme":"wb","bench":"x264"}`))
+	f.Add([]byte(`{"scheme":"wb","bench":"tpcc","regions":8}`))
+	f.Add([]byte(`{"scheme":"rca","bench":"case1","regions":4,"corner":true,"mesh_x":4,"mesh_y":4}`))
+	f.Add([]byte(`{"scheme":"sram","bench":"case2","tech_profile":"hybrid16","hops":99}`))
+	f.Add([]byte(`{"scheme":"ss","profiles":[{"name":"p","suite":"server","l2_mpki":1e308}]}`))
+	f.Add([]byte(`{"scheme":"stt4","bench":"milc","profiles":[{"name":"x"}]}`))
+	f.Add([]byte(`{"scheme":"wb","bench":"mcf","tech_profile":"no-such-tech","layers":9}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var spec api.JobSpec
+		if err := json.Unmarshal(data, &spec); err != nil {
+			return
+		}
+		cfg, err := FromSpec(spec)
+		if err != nil {
+			if !IsValidationError(err) {
+				t.Fatalf("rejection %v is not a *ValidationError", err)
+			}
+			return
+		}
+		if _, err := New(cfg); err != nil {
+			t.Fatalf("resolved config failed construction: %v", err)
+		}
+	})
 }
 
 // FuzzValidateConfigJSON: arbitrary JSON decoded into a Config either fails
