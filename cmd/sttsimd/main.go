@@ -6,9 +6,9 @@
 // Clients POST simulation specs to /v1/jobs, poll /v1/jobs/{id}, stream live
 // progress from /v1/jobs/{id}/events (SSE), fetch /v1/jobs/{id}/result, and
 // scrape /v1/healthz and /v1/stats. Identical configurations — concurrent or
-// repeated — execute once: in-flight submissions join the singleflight memo,
-// finished ones hit the LRU result cache, and with -checkpoint/-resume the
-// cache is warmed from the journal so a restarted daemon serves previously
+// repeated — execute once: in-flight submissions join the singleflight memo
+// and finished ones are answered from it, and with -checkpoint/-resume the
+// memo is preloaded from the journal so a restarted daemon serves previously
 // completed configurations without re-executing them. SIGINT/SIGTERM drain
 // gracefully: no new jobs, in-flight runs finish (and journal) within
 // -drain-timeout, then the listener closes.
@@ -51,10 +51,8 @@ func main() {
 	addr := flag.String("addr", ":8734", "listen address (standalone and coordinator)")
 	jobs := flag.Int("jobs", 0, "concurrent simulations (0 = GOMAXPROCS; coordinator: queue size)")
 	queue := flag.Int("queue", 64, "max queued+running jobs before 429 backpressure")
-	cacheSize := flag.Int("cache-size", 256, "result cache entries (LRU beyond this)")
-	cacheTTL := flag.Duration("cache-ttl", time.Hour, "result cache entry lifetime (0 = no expiry)")
 	checkpoint := flag.String("checkpoint", "", "JSONL checkpoint journal for finished runs (empty = none)")
-	resume := flag.Bool("resume", false, "warm the memo and result cache from the checkpoint journal")
+	resume := flag.Bool("resume", false, "preload the memo from the checkpoint journal")
 	journalSync := flag.String("journal-sync", "interval", "journal fsync policy: always | interval | never")
 	journalSyncInterval := flag.Duration("journal-sync-interval", time.Second, "max time between journal fsyncs under -journal-sync=interval")
 	journalMaxBytes := flag.Int64("journal-max-bytes", 64<<20, "compact the journal in place once it exceeds this size (0 = never)")
@@ -136,8 +134,6 @@ func main() {
 	srv, err := service.NewServer(service.Options{
 		Engine:     eng,
 		MaxQueue:   *queue,
-		CacheSize:  *cacheSize,
-		CacheTTL:   *cacheTTL,
 		RatePerSec: *rate,
 		RateBurst:  *burst,
 		Version:    ver,
@@ -149,9 +145,8 @@ func main() {
 		logger.Fatal(err)
 	}
 	if len(pending) > 0 {
-		if n := srv.WarmFromJournal(pending); n > 0 {
-			logger.Printf("resumed %d journal record(s), %d warmed the result cache", len(pending), n)
-		}
+		n := eng.Preload(pending)
+		logger.Printf("resumed %d journal record(s), %d preloaded the memo", len(pending), n)
 	}
 	// After the journal is attached, so re-queued jobs write fresh lease
 	// records and eventually terminal ones.
@@ -170,8 +165,8 @@ func main() {
 	httpSrv := &http.Server{Handler: srv.Handler()}
 	done := make(chan error, 1)
 	go func() { done <- httpSrv.Serve(ln) }()
-	logger.Printf("version %s %s listening on %s (jobs=%d queue=%d cache=%d/%s)",
-		ver, *mode, ln.Addr(), engineJobs, *queue, *cacheSize, cacheTTL)
+	logger.Printf("version %s %s listening on %s (jobs=%d queue=%d)",
+		ver, *mode, ln.Addr(), engineJobs, *queue)
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)

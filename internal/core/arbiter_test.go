@@ -113,7 +113,8 @@ func TestRCAEstimatorTracksCongestion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := NewRCAEstimator(net)
+	e := NewRCAEstimator(net.Topology())
+	e.AttachNetwork(net)
 	if e.Name() != "RCA" {
 		t.Fatal("name")
 	}

@@ -51,16 +51,21 @@ type RCAEstimator struct {
 	next []float64
 }
 
-// NewRCAEstimator builds an RCA estimator reading congestion from net.
-func NewRCAEstimator(net *noc.Network) *RCAEstimator {
-	n := net.NumNodes()
+// NewRCAEstimator builds an RCA estimator for topo. It reads congestion
+// from the network attached with AttachNetwork, which must happen before
+// the first Tick.
+func NewRCAEstimator(topo noc.Topology) *RCAEstimator {
+	n := topo.NumNodes()
 	return &RCAEstimator{
-		net:  net,
-		topo: net.Topology(),
+		topo: topo,
 		agg:  make([]float64, n),
 		next: make([]float64, n),
 	}
 }
+
+// AttachNetwork sets the network whose router occupancy the estimator
+// aggregates.
+func (e *RCAEstimator) AttachNetwork(n *noc.Network) { e.net = n }
 
 // Name returns "RCA".
 func (e *RCAEstimator) Name() string { return "RCA" }

@@ -48,7 +48,8 @@ func TestRCAEstimatorQuantization(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := NewRCAEstimator(net)
+	e := NewRCAEstimator(net.Topology())
+	e.AttachNetwork(net)
 	for now := uint64(0); now < 10; now++ {
 		e.Tick(now)
 	}

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"sttsim/internal/campaign"
+	"sttsim/pkg/sttsim"
 )
 
 // TestChaosKillWorkerMidJob is the robustness acceptance test, run against
@@ -300,7 +301,7 @@ func getResult(t *testing.T, addr, id string) []byte {
 
 // statsPayload is the slice of /v1/stats the chaos test reads.
 type statsPayload struct {
-	Dist *Stats `json:"dist"`
+	Dist *sttsim.DistStats `json:"dist"`
 }
 
 func getStats(t *testing.T, addr string) statsPayload {

@@ -64,7 +64,8 @@ type LeaseRequest struct {
 }
 
 // HeartbeatRequest is the body of POST PathHeartbeat: proof of life for one
-// lease, optionally carrying a progress snapshot (a marshaled Progress).
+// lease, optionally carrying a progress snapshot (a marshaled
+// sttsim.ProgressEvent, relayed verbatim as the SSE "progress" payload).
 type HeartbeatRequest struct {
 	WorkerID string          `json:"worker_id"`
 	Key      string          `json:"key"`
@@ -98,19 +99,6 @@ type CompleteRequest struct {
 	Error     string          `json:"error,omitempty"`
 	Cause     string          `json:"cause,omitempty"`
 	Retryable bool            `json:"retryable,omitempty"`
-}
-
-// Progress is the heartbeat progress snapshot — the same shape the
-// standalone daemon's SSE "progress" events carry, so distributed and
-// standalone clients decode one payload.
-type Progress struct {
-	Cycle       uint64  `json:"cycle"`
-	TotalCycles uint64  `json:"total_cycles"`
-	Percent     float64 `json:"percent"`
-	Injected    uint64  `json:"injected"`
-	Delivered   uint64  `json:"delivered"`
-	BankDone    uint64  `json:"bank_done"`
-	Faults      uint64  `json:"faults"`
 }
 
 // ErrStaleLease rejects a heartbeat or completion whose (key, epoch,

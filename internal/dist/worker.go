@@ -154,14 +154,17 @@ func (w *Worker) execute(ctx context.Context, task *Task) {
 		}
 	}()
 
-	var tracker *progressTracker
+	var progress *ProgressCounter
 	if task.Stream {
-		tracker = newProgressTracker(cfg)
-		cfg.Obs = &sim.ObsConfig{Sink: tracker.Sink()}
+		progress = NewProgressCounter(cfg)
+		cfg.Obs = &sim.ObsConfig{Sink: obs.FuncSink(func(ev obs.Event) error {
+			progress.Count(ev)
+			return nil
+		})}
 	}
 	hbStop := make(chan struct{})
 	hbDone := make(chan struct{})
-	go w.heartbeatLoop(task, tracker, cancel, hbStop, hbDone)
+	go w.heartbeatLoop(task, progress, cancel, hbStop, hbDone)
 
 	w.Logf("dist[%s]: running %s@%d (%s/%s)", w.ID, short(task.Key), task.Epoch, cfg.Scheme, cfg.Assignment.Name)
 	res, err := w.Run(runCtx, cfg)
@@ -203,7 +206,7 @@ func (w *Worker) execute(ctx context.Context, task *Task) {
 // (410) cancels the run; transport errors are tolerated — the run keeps
 // going and the next tick retries, because a briefly unreachable
 // coordinator usually comes back before the lease expires.
-func (w *Worker) heartbeatLoop(task *Task, tracker *progressTracker, cancelRun context.CancelFunc, stop, done chan struct{}) {
+func (w *Worker) heartbeatLoop(task *Task, progress *ProgressCounter, cancelRun context.CancelFunc, stop, done chan struct{}) {
 	defer close(done)
 	t := time.NewTicker(w.HeartbeatInterval)
 	defer t.Stop()
@@ -214,8 +217,8 @@ func (w *Worker) heartbeatLoop(task *Task, tracker *progressTracker, cancelRun c
 		case <-t.C:
 		}
 		req := HeartbeatRequest{WorkerID: w.ID, Key: task.Key, Epoch: task.Epoch}
-		if tracker != nil {
-			req.Progress = tracker.snapshotJSON()
+		if progress != nil {
+			req.Progress, _ = json.Marshal(progress.Snapshot())
 		}
 		status, body, _, err := w.post(context.Background(), PathHeartbeat, req)
 		switch {
@@ -328,51 +331,42 @@ func sleep(ctx context.Context, d time.Duration) bool {
 	}
 }
 
-// progressTracker aggregates packet-lifecycle events into the snapshot the
-// heartbeat ships. The sink side runs on the simulator's goroutine; the
-// heartbeat goroutine reads snapshots — hence the mutex, unlike the
-// standalone progressFeed which stays on one goroutine.
-type progressTracker struct {
+// ProgressCounter counts one run's packet-lifecycle events into the SSE
+// "progress" payload: a worker ships its snapshots in heartbeats, and the
+// standalone daemon publishes them on the job's topic. Count runs on the
+// simulator's goroutine; Snapshot may be called from any other.
+type ProgressCounter struct {
 	mu    sync.Mutex
-	snap  Progress
+	snap  sttsim.ProgressEvent // Cycle is the latest event cycle counted
 	total uint64
 }
 
-func newProgressTracker(cfg sim.Config) *progressTracker {
-	warmup, measure := cfg.WarmupCycles, cfg.MeasureCycles
-	if warmup == 0 {
-		warmup = 20000
-	}
-	if measure == 0 {
-		measure = 60000
-	}
-	return &progressTracker{total: warmup + measure}
+// NewProgressCounter builds the counter for a run of cfg.
+func NewProgressCounter(cfg sim.Config) *ProgressCounter {
+	return &ProgressCounter{total: cfg.TotalCycles()}
 }
 
-// Sink returns the obs.Sink half of the tracker.
-func (p *progressTracker) Sink() obs.Sink {
-	return obs.FuncSink(func(ev obs.Event) error {
-		p.mu.Lock()
-		switch ev.Type {
-		case obs.EvInject:
-			p.snap.Injected++
-		case obs.EvDeliver:
-			p.snap.Delivered++
-		case obs.EvBankDone:
-			p.snap.BankDone++
-		case obs.EvFault:
-			p.snap.Faults++
-		}
-		if ev.Cycle > p.snap.Cycle {
-			p.snap.Cycle = ev.Cycle
-		}
-		p.mu.Unlock()
-		return nil
-	})
+// Count folds one event into the counters.
+func (p *ProgressCounter) Count(ev obs.Event) {
+	p.mu.Lock()
+	switch ev.Type {
+	case obs.EvInject:
+		p.snap.Injected++
+	case obs.EvDeliver:
+		p.snap.Delivered++
+	case obs.EvBankDone:
+		p.snap.BankDone++
+	case obs.EvFault:
+		p.snap.Faults++
+	}
+	if ev.Cycle > p.snap.Cycle {
+		p.snap.Cycle = ev.Cycle
+	}
+	p.mu.Unlock()
 }
 
-// snapshotJSON renders the current progress for a heartbeat.
-func (p *progressTracker) snapshotJSON() json.RawMessage {
+// Snapshot returns the counters as of the latest event cycle counted.
+func (p *ProgressCounter) Snapshot() sttsim.ProgressEvent {
 	p.mu.Lock()
 	ev := p.snap
 	p.mu.Unlock()
@@ -383,9 +377,5 @@ func (p *progressTracker) snapshotJSON() json.RawMessage {
 			ev.Percent = 100
 		}
 	}
-	data, err := json.Marshal(ev)
-	if err != nil {
-		return nil
-	}
-	return data
+	return ev
 }

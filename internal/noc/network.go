@@ -128,20 +128,6 @@ func (n *Network) clearNICActive(id NodeID) {
 // path to byte-identical traces against this oracle.
 func (n *Network) SetExhaustiveTick(on bool) { n.exhaustive = on }
 
-// Quiescent reports that no router or NIC can make progress: every buffer,
-// injection queue, ejection inbox and gate-blocked list is empty. A
-// quiescent network stays quiescent until the next Inject, so callers
-// draining traffic may fast-forward over the remaining cycle span instead of
-// stepping through it.
-func (n *Network) Quiescent() bool {
-	for w := range n.activeRtr {
-		if n.activeRtr[w] != 0 || n.activeNIC[w] != 0 {
-			return false
-		}
-	}
-	return true
-}
-
 // NewNetwork wires up routers, links, TSVs, TSBs and NICs per the config.
 func NewNetwork(cfg Config) (*Network, error) {
 	if cfg.Routing == nil {

@@ -56,6 +56,3 @@ func (pp *PacketPool) Put(p *Packet) {
 	p.pooled = false // double-Put protection
 	pp.free = append(pp.free, p)
 }
-
-// Free returns the current free-list depth (testing/diagnostics).
-func (pp *PacketPool) Free() int { return len(pp.free) }

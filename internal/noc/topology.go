@@ -151,12 +151,6 @@ func (t Topology) SameLayerDistance(a, b NodeID) int {
 	return dx + dy
 }
 
-// Diameter returns the worst-case hop distance between any two nodes (the
-// in-layer Manhattan diameter plus the full stack height).
-func (t Topology) Diameter() int {
-	return (t.MeshX - 1) + (t.MeshY - 1) + (t.Layers - 1)
-}
-
 // XYNext returns the port taking one X-Y step from node at toward the
 // same-layer node dst (PortLocal when already there). It panics if the nodes
 // are on different layers, since that is a routing-logic error.

@@ -179,7 +179,7 @@ func TestCoordinatorStreamRelaysWorkerProgress(t *testing.T) {
 			}
 			switch ev.Type {
 			case "progress":
-				var p dist.Progress
+				var p sttsim.ProgressEvent
 				if err := json.Unmarshal([]byte(ev.Data), &p); err != nil {
 					t.Fatalf("undecodable progress event %q: %v", ev.Data, err)
 				}
@@ -386,7 +386,7 @@ func TestCancelPropagatesToWorker(t *testing.T) {
 
 // TestCoordinatorRequeuePendingFromJournal: leased-but-unfinished journal
 // records must re-enter the queue on restart and complete on a worker with
-// no client attached, landing in the result cache.
+// no client attached, landing in the memo.
 func TestCoordinatorRequeuePendingFromJournal(t *testing.T) {
 	var spec JobSpec
 	if err := json.Unmarshal([]byte(e2eSpec), &spec); err != nil {
@@ -410,12 +410,12 @@ func TestCoordinatorRequeuePendingFromJournal(t *testing.T) {
 	})
 	deadline := time.Now().Add(10 * time.Second)
 	for time.Now().Before(deadline) {
-		if _, ok := srv.Cache().Get(key); ok {
+		if res, err, done := srv.eng.Peek(key); done && err == nil && res != nil {
 			return
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	t.Fatal("re-queued job never completed into the cache")
+	t.Fatal("re-queued job never completed into the memo")
 }
 
 // TestReadiness: liveness always answers 200; readiness answers 503 for a

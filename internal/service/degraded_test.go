@@ -13,7 +13,7 @@ import (
 // TestJournalDegradedServesCacheOnly is the ENOSPC acceptance path: the disk
 // fills mid-campaign, the journal degrades instead of panicking or leaving a
 // partial record, /ready flips to 503, new jobs are rejected, and previously
-// completed configurations keep serving from the result cache.
+// completed configurations keep serving from the memo.
 func TestJournalDegradedServesCacheOnly(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "ckpt.jsonl")
 	script := failpoint.NewDiskScript(1)
@@ -83,7 +83,7 @@ func TestJournalDegradedServesCacheOnly(t *testing.T) {
 		t.Fatalf("new job answered %d with a degraded journal, want 503", resp.StatusCode)
 	}
 
-	// ...but the completed configuration still serves from the cache.
+	// ...but the completed configuration still serves from the memo.
 	resp, stA2 := postJob(t, ts, baseJob)
 	if resp.StatusCode != http.StatusOK || !stA2.CacheHit {
 		t.Fatalf("cached resubmit answered %d (cache_hit=%v), want 200 cache hit", resp.StatusCode, stA2.CacheHit)

@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"sttsim/internal/campaign"
-	"sttsim/internal/dist"
 	"sttsim/internal/failpoint"
 	"sttsim/internal/sim"
 	api "sttsim/pkg/sttsim"
@@ -236,64 +235,16 @@ func TestDegradedJournalRejectsNewJobs(t *testing.T) {
 		t.Errorf("error = %q, want the degraded-journal envelope", envelope.Message)
 	}
 
-	// The already-completed configuration still serves from the cache.
+	// The already-completed configuration still serves from the memo.
 	resp3, st := postJob(t, ts, baseJob)
 	if resp3.StatusCode != http.StatusOK || !st.CacheHit {
 		t.Errorf("cached resubmit = (%d, hit=%v), want 200 cache hit", resp3.StatusCode, st.CacheHit)
 	}
 }
 
-// TestDistStatsWireEquivalence pins the wire mirror: internal dist.Stats and
-// the SDK's DistStats must stay field-for-field JSON-identical, so
-// /v1/stats.dist decoded through the SDK loses nothing. A new field on either
-// side fails this test until it is mirrored (or deliberately excluded here).
-func TestDistStatsWireEquivalence(t *testing.T) {
-	// Every field non-zero, so a renamed or dropped tag shows up in the bytes.
-	ds := dist.Stats{
-		WorkersAlive: 1, Queued: 2, Leased: 3,
-		Delivered: 4, Redelivered: 5, Expired: 6,
-		Fenced: 7, StaleHeartbeats: 8, Completed: 9,
-		Workers: []dist.WorkerStatus{
-			{ID: "w1", Alive: true, Lease: "cfg-abc", LastSeenS: 1.5},
-			{ID: "w2", Alive: false, LastSeenS: 30},
-		},
-	}
-	internal, err := json.Marshal(ds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wire, err := json.Marshal(distStatsWire(ds))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(internal) != string(wire) {
-		t.Errorf("wire mirror drifted:\ninternal: %s\nwire:     %s", internal, wire)
-	}
-
-	// Field-count parity catches additions the populated sample above misses.
-	for _, pair := range []struct {
-		name           string
-		internal, wire reflect.Type
-	}{
-		{"Stats", reflect.TypeOf(dist.Stats{}), reflect.TypeOf(api.DistStats{})},
-		{"WorkerStatus", reflect.TypeOf(dist.WorkerStatus{}), reflect.TypeOf(api.WorkerStatus{})},
-	} {
-		if pair.internal.NumField() != pair.wire.NumField() {
-			t.Errorf("%s: internal has %d fields, wire mirror has %d — update distStatsWire and pkg/sttsim",
-				pair.name, pair.internal.NumField(), pair.wire.NumField())
-		}
-		for i := 0; i < pair.internal.NumField() && i < pair.wire.NumField(); i++ {
-			it, wt := pair.internal.Field(i).Tag.Get("json"), pair.wire.Field(i).Tag.Get("json")
-			if it != wt {
-				t.Errorf("%s field %d: json tag %q (internal) != %q (wire)", pair.name, i, it, wt)
-			}
-		}
-	}
-}
-
-// TestServiceTypesAreSDKTypes is the compile-time half of satellite 1: the
-// server marshals the very structs the SDK decodes. Assignability both ways
-// only holds for true aliases.
+// TestServiceTypesAreSDKTypes pins at compile time that the server marshals
+// the very structs the SDK decodes. Assignability both ways only holds for
+// true aliases.
 func TestServiceTypesAreSDKTypes(t *testing.T) {
 	var _ api.JobStatus = JobStatus{}
 	var _ JobSpec = api.JobSpec{}

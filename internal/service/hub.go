@@ -129,12 +129,5 @@ func (h *Hub) Publish(key, typ string, payload any) {
 	h.mu.Unlock()
 }
 
-// Subscribers reports the current subscriber count for key.
-func (h *Hub) Subscribers(key string) int {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return len(h.topics[key])
-}
-
 // Dropped reports how many events were discarded on full subscriber buffers.
 func (h *Hub) Dropped() uint64 { return h.dropped.Load() }

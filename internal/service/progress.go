@@ -1,57 +1,36 @@
 package service
 
 import (
+	"sttsim/internal/dist"
 	"sttsim/internal/obs"
 	"sttsim/internal/sim"
 )
 
-// progressFeed aggregates the firehose of packet-lifecycle events from an
-// obs sink into coarse periodic snapshots on the run's hub topic, and
-// forwards stats probe samples as they are taken. It runs on the simulator's
-// goroutine (sinks are single-goroutine by contract), so it keeps no locks —
-// the hub does the cross-goroutine handoff.
+// progressFeed publishes a dist.ProgressCounter's snapshot on the run's hub
+// topic every progressInterval cycles, and forwards stats probe samples as
+// they are taken. It runs on the simulator's goroutine (sinks are
+// single-goroutine by contract); the hub does the cross-goroutine handoff.
 type progressFeed struct {
-	hub   *Hub
-	key   string
-	every uint64 // cycles between snapshots
-
-	total   uint64 // warmup+measure, for percent
+	hub     *Hub
+	key     string
+	count   *dist.ProgressCounter
 	lastPub uint64
-	snap    progressEvent
 }
 
-// newProgressFeed builds the feed for one run. every is the snapshot period
-// in cycles (0 = 1000).
-func newProgressFeed(hub *Hub, key string, cfg sim.Config, every uint64) *progressFeed {
-	if every == 0 {
-		every = 1000
-	}
-	warmup, measure := cfg.WarmupCycles, cfg.MeasureCycles
-	if warmup == 0 {
-		warmup = 20000
-	}
-	if measure == 0 {
-		measure = 60000
-	}
-	return &progressFeed{hub: hub, key: key, every: every, total: warmup + measure}
+// newProgressFeed builds the feed for one run.
+func newProgressFeed(hub *Hub, key string, cfg sim.Config) *progressFeed {
+	return &progressFeed{hub: hub, key: key, count: dist.NewProgressCounter(cfg)}
 }
 
 // Sink returns the obs.Sink half of the feed.
 func (p *progressFeed) Sink() obs.Sink {
 	return obs.FuncSink(func(ev obs.Event) error {
-		switch ev.Type {
-		case obs.EvInject:
-			p.snap.Injected++
-		case obs.EvDeliver:
-			p.snap.Delivered++
-		case obs.EvBankDone:
-			p.snap.BankDone++
-		case obs.EvFault:
-			p.snap.Faults++
-		}
-		if ev.Cycle >= p.lastPub+p.every {
-			p.lastPub = ev.Cycle - ev.Cycle%p.every
-			p.publish(ev.Cycle)
+		p.count.Count(ev)
+		// The event crossing a period boundary is the latest cycle seen, so
+		// the snapshot reports exactly ev.Cycle.
+		if ev.Cycle >= p.lastPub+progressInterval {
+			p.lastPub = ev.Cycle - ev.Cycle%progressInterval
+			p.hub.Publish(p.key, "progress", p.count.Snapshot())
 		}
 		return nil
 	})
@@ -64,17 +43,4 @@ func (p *progressFeed) OnSample(cycle uint64, names []string, values []float64) 
 		m[name] = values[i]
 	}
 	p.hub.Publish(p.key, "sample", sampleEvent{Cycle: cycle, Metrics: m})
-}
-
-func (p *progressFeed) publish(cycle uint64) {
-	ev := p.snap
-	ev.Cycle = cycle
-	ev.TotalCycles = p.total
-	if p.total > 0 {
-		ev.Percent = 100 * float64(cycle) / float64(p.total)
-		if ev.Percent > 100 {
-			ev.Percent = 100
-		}
-	}
-	p.hub.Publish(p.key, "progress", ev)
 }

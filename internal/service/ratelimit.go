@@ -36,14 +36,9 @@ func NewRateLimiter(rate float64, burst int) *RateLimiter {
 	return &RateLimiter{rate: rate, burst: b, now: time.Now, buckets: make(map[string]*bucket)}
 }
 
-// Allow reports whether key may proceed, consuming one token if so.
-func (l *RateLimiter) Allow(key string) bool {
-	ok, _ := l.AllowWithRetry(key)
-	return ok
-}
-
-// AllowWithRetry is Allow plus, on denial, how long until the bucket will
-// hold a whole token again — the value behind the Retry-After header, so
+// AllowWithRetry reports whether key may proceed, consuming one token if
+// so, and, on denial, how long until the bucket will hold a whole token
+// again — the value behind the Retry-After header, so
 // clients back off exactly as long as the bucket needs rather than guessing.
 func (l *RateLimiter) AllowWithRetry(key string) (bool, time.Duration) {
 	if l == nil || l.rate <= 0 {

@@ -23,27 +23,18 @@ import (
 
 // Options tunes the server. Engine is required; everything else defaults.
 type Options struct {
-	// Engine executes the jobs. The caller owns its lifecycle (journal
-	// attachment, Close); Drain interrupts it only when the grace period
-	// expires.
+	// Engine executes the jobs and memoizes their outcomes: its memo is the
+	// server's only result store. The caller owns its lifecycle (journal
+	// attachment, Preload, Close); Drain interrupts it only when the grace
+	// period expires.
 	Engine *campaign.Engine
 
 	// MaxQueue bounds queued+running jobs; beyond it POST /v1/jobs returns
 	// 429 with Retry-After (backpressure). Default 64.
 	MaxQueue int
-	// CacheSize / CacheTTL shape the LRU result cache (defaults 256 / 1h).
-	CacheSize int
-	CacheTTL  time.Duration
 	// RatePerSec / RateBurst is the per-client token bucket; 0 disables.
 	RatePerSec float64
 	RateBurst  int
-	// RequestTimeout bounds non-streaming handlers (default 30s).
-	RequestTimeout time.Duration
-	// ProgressInterval is the cycle period of streamed progress snapshots
-	// (default 1000); MetricsInterval the probe sampling period for streamed
-	// jobs (default 1000).
-	ProgressInterval uint64
-	MetricsInterval  uint64
 	// MaxJobs bounds retained job records; oldest terminal jobs are evicted
 	// first (default 4096).
 	MaxJobs int
@@ -60,31 +51,25 @@ type Options struct {
 	// Journal, when set, lets the server observe the checkpoint journal's
 	// health: /v1/stats reports its counters, and a degraded journal (disk
 	// full, failed fsync) flips /ready to 503 and rejects new jobs while
-	// cached results keep serving. The engine still owns the journal's
-	// lifecycle; this is a read-only view.
+	// finished configurations keep serving. The engine still owns the
+	// journal's lifecycle; this is a read-only view.
 	Journal *campaign.Journal
 	// Logf receives operational diagnostics (default: discarded).
 	Logf func(format string, args ...any)
 }
 
+const (
+	// requestTimeout bounds non-streaming handlers.
+	requestTimeout = 30 * time.Second
+	// progressInterval is the cycle period of streamed progress snapshots;
+	// metricsInterval the probe sampling period of streamed jobs.
+	progressInterval = 1000
+	metricsInterval  = 1000
+)
+
 func (o Options) withDefaults() Options {
 	if o.MaxQueue <= 0 {
 		o.MaxQueue = 64
-	}
-	if o.CacheSize <= 0 {
-		o.CacheSize = 256
-	}
-	if o.CacheTTL == 0 {
-		o.CacheTTL = time.Hour
-	}
-	if o.RequestTimeout <= 0 {
-		o.RequestTimeout = 30 * time.Second
-	}
-	if o.ProgressInterval == 0 {
-		o.ProgressInterval = 1000
-	}
-	if o.MetricsInterval == 0 {
-		o.MetricsInterval = 1000
 	}
 	if o.MaxJobs <= 0 {
 		o.MaxJobs = 4096
@@ -121,7 +106,6 @@ type job struct {
 	cause    string
 	summary  string
 	finished time.Time
-	result   []byte
 
 	handle *campaign.Handle
 	done   chan struct{} // closed exactly once, at the terminal transition
@@ -131,7 +115,6 @@ type job struct {
 type Server struct {
 	opts    Options
 	eng     *campaign.Engine
-	cache   *ResultCache
 	hub     *Hub
 	limiter *RateLimiter
 	dist    *dist.Table // nil in standalone mode
@@ -148,6 +131,9 @@ type Server struct {
 	pending   int      // queued+running (the backpressure gauge)
 	draining  bool
 	latencies map[string][]float64 // per-scheme execution wall seconds
+	// hits and misses count valid submissions answered from the memo and
+	// those that were not.
+	hits, misses uint64
 }
 
 // latencySamples bounds the per-scheme latency reservoir.
@@ -162,7 +148,6 @@ func NewServer(opts Options) (*Server, error) {
 	s := &Server{
 		opts:      opts,
 		eng:       opts.Engine,
-		cache:     NewResultCache(opts.CacheSize, opts.CacheTTL),
 		hub:       NewHub(),
 		limiter:   NewRateLimiter(opts.RatePerSec, opts.RateBurst),
 		dist:      opts.Dist,
@@ -179,31 +164,8 @@ func NewServer(opts Options) (*Server, error) {
 	return s, nil
 }
 
-// Cache exposes the result cache (cmd warm-start and tests).
-func (s *Server) Cache() *ResultCache { return s.cache }
-
-// WarmFromJournal seeds the engine memo and the result cache from checkpoint
-// records, so a restarted daemon serves previously-completed configurations
-// without re-executing them. Returns how many results warmed the cache.
-func (s *Server) WarmFromJournal(recs []campaign.Record) int {
-	s.eng.Preload(recs)
-	n := 0
-	for _, rec := range recs {
-		if rec.Key == "" || rec.Status != campaign.StatusOK || rec.Result == nil {
-			continue
-		}
-		data, err := json.Marshal(rec.Result)
-		if err != nil {
-			continue
-		}
-		s.cache.Put(rec.Key, data)
-		n++
-	}
-	return n
-}
-
 // Handler returns the service's HTTP routes. Non-streaming routes run under
-// RequestTimeout; the SSE route manages its own lifetime.
+// requestTimeout; the SSE route manages its own lifetime.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/jobs", s.handleSubmit)
@@ -223,7 +185,7 @@ func (s *Server) Handler() http.Handler {
 	}
 
 	sse := http.HandlerFunc(s.handleEvents)
-	timed := http.Handler(timeoutMiddleware(mux, s.opts.RequestTimeout))
+	timed := http.Handler(timeoutMiddleware(mux, requestTimeout))
 	root := http.NewServeMux()
 	root.Handle("GET /v1/jobs/{id}/events", s.recoverMiddleware(sse))
 	if s.dist != nil {
@@ -356,12 +318,22 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		done:    make(chan struct{}),
 	}
 
-	// Cache tier: completed configurations are served without touching the
-	// engine or the queue.
-	if data, ok := s.cache.Get(key); ok {
+	// A configuration the memo already finished is served without touching
+	// the engine or the queue. A failed or in-flight key falls through and
+	// joins the memo's call below.
+	res, runErr, done := s.eng.Peek(key)
+	hit := done && runErr == nil && res != nil
+	s.mu.Lock()
+	if hit {
+		s.hits++
+	} else {
+		s.misses++
+	}
+	s.mu.Unlock()
+	if hit {
 		j.state = StateDone
 		j.cacheHit = true
-		j.result = data
+		j.summary = res.Summary()
 		j.finished = s.now()
 		close(j.done)
 		s.addJob(j)
@@ -369,9 +341,9 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// A degraded journal cannot persist new verdicts: keep serving the cache
-	// (above) but refuse work whose outcome would silently evaporate on the
-	// next restart.
+	// A degraded journal cannot persist new verdicts: keep serving finished
+	// configurations (above) but refuse work whose outcome would silently
+	// evaporate on the next restart.
 	if err := s.journalDegraded(); err != nil {
 		writeError(w, http.StatusServiceUnavailable, "journal degraded, serving cached results only: "+err.Error(), 0)
 		return
@@ -400,10 +372,10 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		run = s.distRun(key, spec.Stream)
 	} else {
 		if spec.Stream {
-			feed := newProgressFeed(s.hub, key, cfg, s.opts.ProgressInterval)
+			feed := newProgressFeed(s.hub, key, cfg)
 			runCfg.Obs = &sim.ObsConfig{
 				Sink:            feed.Sink(),
-				MetricsInterval: s.opts.MetricsInterval,
+				MetricsInterval: metricsInterval,
 				OnSample:        feed.OnSample,
 			}
 		}
@@ -450,37 +422,28 @@ func (s *Server) markRunning(key string) {
 func (s *Server) watch(j *job) {
 	res, err := j.handle.Outcome()
 	if err == nil && res != nil {
-		// Materialize once per key: PutIfAbsent makes the first writer's bytes
-		// canonical, so every later read is byte-identical.
-		data, merr := json.Marshal(res)
-		if merr != nil {
-			err = fmt.Errorf("marshal result: %w", merr)
-		} else {
-			data = s.cache.PutIfAbsent(j.key, data)
-			s.finish(j, StateDone, data, res.Summary(), nil)
-			if !j.handle.Joined {
-				s.recordLatency(j)
-			}
-			return
+		s.finish(j, StateDone, res.Summary(), nil)
+		if !j.handle.Joined {
+			s.recordLatency(j)
 		}
+		return
 	}
 	state := StateFailed
 	if campaign.Classify(err) == campaign.VerdictCancelled {
 		state = StateCancelled
 	}
-	s.finish(j, state, nil, "", err)
+	s.finish(j, state, "", err)
 }
 
 // finish applies the terminal transition exactly once and notifies
 // subscribers. Safe to race with handleCancel.
-func (s *Server) finish(j *job, state string, result []byte, summary string, err error) {
+func (s *Server) finish(j *job, state, summary string, err error) {
 	s.mu.Lock()
 	if j.state == StateDone || j.state == StateFailed || j.state == StateCancelled {
 		s.mu.Unlock()
 		return
 	}
 	j.state = state
-	j.result = result
 	j.summary = summary
 	if err != nil {
 		j.errMsg = err.Error()
@@ -544,8 +507,10 @@ func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, s.status(j))
 }
 
-// handleResult is GET /v1/jobs/{id}/result: the byte-identical result
-// payload every client of this configuration receives.
+// handleResult is GET /v1/jobs/{id}/result: the memoized result, encoded
+// on demand. Every client of one configuration reads the same immutable
+// struct through deterministic encoding/json, so all receive identical
+// bytes.
 func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	j := s.lookup(r.PathValue("id"))
 	if j == nil {
@@ -553,15 +518,25 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.mu.Lock()
-	state, result := j.state, j.result
+	state := j.state
 	s.mu.Unlock()
 	if state != StateDone {
 		writeError(w, http.StatusConflict, "job is "+state+", result not available", 0)
 		return
 	}
+	res, err, done := s.eng.Peek(j.key)
+	if !done || err != nil || res == nil {
+		writeError(w, http.StatusInternalServerError, "result of a finished job is missing from the memo", 0)
+		return
+	}
+	data, err := json.Marshal(res)
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, "marshal result: "+err.Error(), 0)
+		return
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusOK)
-	w.Write(result)
+	w.Write(data)
 }
 
 // handleCancel is DELETE /v1/jobs/{id}: withdraw this job's interest. The
@@ -576,7 +551,7 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 	if j.handle != nil {
 		j.handle.Cancel()
 	}
-	s.finish(j, StateCancelled, nil, "", context.Canceled)
+	s.finish(j, StateCancelled, "", context.Canceled)
 	writeJSON(w, http.StatusOK, s.status(j))
 }
 
@@ -784,10 +759,14 @@ func (s *Server) Stats() Stats {
 	for scheme, lat := range s.latencies {
 		st.Schemes[scheme] = summarizeLatency(lat)
 	}
+	st.Cache = CacheStats{Hits: s.hits, Misses: s.misses}
 	s.mu.Unlock()
-	st.Cache = s.cache.Stats()
+	if total := st.Cache.Hits + st.Cache.Misses; total > 0 {
+		st.Cache.HitRatio = float64(st.Cache.Hits) / float64(total)
+	}
 	if s.dist != nil {
-		st.Dist = distStatsWire(s.dist.Snapshot())
+		ds := s.dist.Snapshot()
+		st.Dist = &ds
 	}
 	if s.journal != nil {
 		js := s.journal.Stats()

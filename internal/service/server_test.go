@@ -288,7 +288,7 @@ func TestDedupAndCacheTiers(t *testing.T) {
 	_, st1 := postJob(t, ts, baseJob)
 	waitTerminal(t, ts, st1.ID)
 
-	// Same config again: memo has it, cache has it — the cache tier answers.
+	// Same config again: the memo finished it, so it answers at once.
 	resp2, st2 := postJob(t, ts, baseJob)
 	if resp2.StatusCode != http.StatusOK {
 		t.Fatalf("repeat submit status = %d, want 200", resp2.StatusCode)
@@ -315,7 +315,26 @@ func TestDedupAndCacheTiers(t *testing.T) {
 		res.Body.Close()
 	}
 	if !bytes.Equal(bodies[0], bodies[1]) {
-		t.Fatal("cache served a payload that differs from the original")
+		t.Fatal("the hit served a payload that differs from the original")
+	}
+}
+
+// TestCacheCounters: /v1/stats counts every valid submission once, as a
+// hit when the memo already finished its configuration and as a miss
+// otherwise (fresh runs and in-flight joins alike).
+func TestCacheCounters(t *testing.T) {
+	srv, ts := newTestServer(t, nil)
+	_, st := postJob(t, ts, baseJob)
+	waitTerminal(t, ts, st.ID)
+	postJob(t, ts, baseJob)
+	postJob(t, ts, baseJob)
+	postJob(t, ts, `{"scheme":"quantum","bench":"milc"}`) // invalid: not counted
+	c := srv.Stats().Cache
+	if c.Hits != 2 || c.Misses != 1 {
+		t.Fatalf("cache stats = %+v, want 2 hits 1 miss", c)
+	}
+	if got, want := c.HitRatio, 2.0/3.0; got < want-1e-9 || got > want+1e-9 {
+		t.Fatalf("hit ratio = %v, want %v", got, want)
 	}
 }
 

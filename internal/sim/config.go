@@ -255,6 +255,13 @@ func (c Config) Topology() noc.Topology {
 	return t
 }
 
+// TotalCycles is the run's length, warmup plus measure, with unset windows
+// at their defaults.
+func (c Config) TotalCycles() uint64 {
+	c = c.withDefaults()
+	return c.WarmupCycles + c.MeasureCycles
+}
+
 // withDefaults fills unset fields with the paper's defaults.
 func (c Config) withDefaults() Config {
 	if c.WarmupCycles == 0 {

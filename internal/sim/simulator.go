@@ -167,7 +167,9 @@ func New(cfg Config) (*Simulator, error) {
 	}
 	s.routing = routing
 
-	// The bank-aware arbiter and its estimator.
+	// The bank-aware arbiter and its estimator. The arbiter's hold gating
+	// and RCA's occupancy read the network, so both attach to it once it
+	// exists.
 	var prioritizer noc.Prioritizer
 	if cfg.Scheme.Prioritized() {
 		s.parents, err = core.BuildParentMap(s.layout, cfg.Hops)
@@ -179,58 +181,36 @@ func New(cfg Config) (*Simulator, error) {
 		case SchemeSTT4TSBSS:
 			est = core.SSEstimator{}
 		case SchemeSTT4TSBRCA:
-			est = nil // wired after the network exists
+			s.rca = core.NewRCAEstimator(topo)
+			est = s.rca
 		case SchemeSTT4TSBWB:
 			s.wb = core.NewWBEstimatorFor(cfg.WBWindow, topo.NumNodes())
 			est = s.wb
 		}
 		tech := cfg.BankTech()
-		if cfg.Scheme == SchemeSTT4TSBRCA {
-			// Placeholder; replaced below once the network exists.
-			s.arbiter = nil
-		} else {
-			s.arbiter = core.NewBankAwareArbiter(s.parents, est, tech.ReadCycles, tech.WriteCycles)
-			prioritizer = s.arbiter
+		s.arbiter = core.NewBankAwareArbiter(s.parents, est, tech.ReadCycles, tech.WriteCycles)
+		if cfg.HoldCap != 0 {
+			s.arbiter.SetHoldCap(cfg.HoldCap)
 		}
+		prioritizer = s.arbiter
 	}
 
 	vcs := noc.DefaultVCsPerClass
 	if cfg.ExtraReqVC {
 		vcs = []int{noc.DefaultVCsPerClass[0] + 1, noc.DefaultVCsPerClass[1], noc.DefaultVCsPerClass[2]}
 	}
-
-	// RCA needs the network, and the network needs the prioritizer: build
-	// the network with a late-bound prioritizer shim.
-	shim := &prioritizerShim{}
-	if cfg.Scheme.Prioritized() {
-		prioritizerForNet := prioritizer
-		if prioritizerForNet == nil {
-			prioritizerForNet = shim
-		}
-		s.net, err = noc.NewNetwork(noc.Config{
-			Routing: routing, VCsPerClass: vcs, WideTSBs: wide, Prioritizer: prioritizerForNet,
-			WatchdogCycles: cfg.WatchdogCycles, Observer: observer,
-		})
-	} else {
-		s.net, err = noc.NewNetwork(noc.Config{
-			Routing: routing, VCsPerClass: vcs, WideTSBs: wide,
-			WatchdogCycles: cfg.WatchdogCycles, Observer: observer,
-		})
-	}
+	s.net, err = noc.NewNetwork(noc.Config{
+		Routing: routing, VCsPerClass: vcs, WideTSBs: wide, Prioritizer: prioritizer,
+		WatchdogCycles: cfg.WatchdogCycles, Observer: observer,
+	})
 	if err != nil {
 		return nil, err
 	}
-	if cfg.Scheme == SchemeSTT4TSBRCA {
-		s.rca = core.NewRCAEstimator(s.net)
-		tech := cfg.BankTech()
-		s.arbiter = core.NewBankAwareArbiter(s.parents, s.rca, tech.ReadCycles, tech.WriteCycles)
-		shim.p = s.arbiter
-	}
 	if s.arbiter != nil {
 		s.arbiter.AttachNetwork(s.net)
-		if cfg.HoldCap != 0 {
-			s.arbiter.SetHoldCap(cfg.HoldCap)
-		}
+	}
+	if s.rca != nil {
+		s.rca.AttachNetwork(s.net)
 	}
 
 	// Cores with their workload generators; the miss ratio reflects the
@@ -336,23 +316,6 @@ func New(cfg Config) (*Simulator, error) {
 //
 // Deprecated: there is nothing to release; callers need not call Close.
 func (s *Simulator) Close() {}
-
-// prioritizerShim lets the RCA arbiter be installed after network
-// construction.
-type prioritizerShim struct{ p noc.Prioritizer }
-
-func (s *prioritizerShim) Priority(at noc.NodeID, p *noc.Packet, now uint64) int {
-	if s.p == nil {
-		return 0
-	}
-	return s.p.Priority(at, p, now)
-}
-
-func (s *prioritizerShim) OnForward(at noc.NodeID, p *noc.Packet, now uint64) {
-	if s.p != nil {
-		s.p.OnForward(at, p, now)
-	}
-}
 
 // wireDelivery registers the per-node packet sinks.
 func (s *Simulator) wireDelivery() {

@@ -5,12 +5,7 @@
 // speedup, maximum slowdown).
 package stats
 
-import (
-	"encoding/json"
-	"fmt"
-	"sort"
-	"strings"
-)
+import "encoding/json"
 
 // Counter is a monotonically increasing event counter.
 type Counter struct {
@@ -96,44 +91,4 @@ func (a *Accumulator) UnmarshalJSON(data []byte) error {
 	}
 	a.sum, a.count, a.min, a.max = j.Sum, j.Count, j.Min, j.Max
 	return nil
-}
-
-// Set is a registry of named counters, useful for ad-hoc event accounting
-// inside a component. Lookup creates counters on demand.
-type Set struct {
-	counters map[string]*Counter
-}
-
-// NewSet returns an empty counter registry.
-func NewSet() *Set {
-	return &Set{counters: make(map[string]*Counter)}
-}
-
-// Counter returns the counter registered under name, creating it if needed.
-func (s *Set) Counter(name string) *Counter {
-	c, ok := s.counters[name]
-	if !ok {
-		c = &Counter{}
-		s.counters[name] = c
-	}
-	return c
-}
-
-// Names returns the registered counter names in sorted order.
-func (s *Set) Names() []string {
-	names := make([]string, 0, len(s.counters))
-	for n := range s.counters {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// String renders the registry as "name=value" lines, sorted by name.
-func (s *Set) String() string {
-	var b strings.Builder
-	for _, n := range s.Names() {
-		fmt.Fprintf(&b, "%s=%d\n", n, s.counters[n].Value())
-	}
-	return b.String()
 }

@@ -58,23 +58,6 @@ func TestAccumulatorNegativeFirstSample(t *testing.T) {
 	}
 }
 
-func TestSetCreatesOnDemand(t *testing.T) {
-	s := NewSet()
-	s.Counter("b").Add(2)
-	s.Counter("a").Inc()
-	s.Counter("b").Inc()
-	if got := s.Counter("b").Value(); got != 3 {
-		t.Fatalf("b = %d, want 3", got)
-	}
-	names := s.Names()
-	if len(names) != 2 || names[0] != "a" || names[1] != "b" {
-		t.Fatalf("names = %v, want [a b]", names)
-	}
-	if !strings.Contains(s.String(), "a=1") || !strings.Contains(s.String(), "b=3") {
-		t.Fatalf("String() = %q missing entries", s.String())
-	}
-}
-
 func TestGapHistogramBins(t *testing.T) {
 	h := NewGapHistogram()
 	if h.Bins() != 7 {

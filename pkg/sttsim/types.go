@@ -264,7 +264,8 @@ type JobStatus struct {
 	Key    string `json:"key"`
 	Scheme string `json:"scheme"`
 	Bench  string `json:"bench"`
-	// CacheHit: served from the result cache without touching the engine.
+	// CacheHit: answered at once from a finished run of the same
+	// configuration, without queueing.
 	CacheHit bool `json:"cache_hit,omitempty"`
 	// Deduped: joined an identical in-flight or memoized run.
 	Deduped   bool    `json:"deduped,omitempty"`
@@ -301,15 +302,13 @@ type Health struct {
 	WorkersAlive int `json:"workers_alive,omitempty"`
 }
 
-// CacheStats is the result cache's counter snapshot in GET /v1/stats.
+// CacheStats counts, in GET /v1/stats, the valid submissions the daemon
+// answered at once from finished runs (hits) and those it had to queue or
+// join to an in-flight run (misses).
 type CacheStats struct {
-	Entries     int     `json:"entries"`
-	Capacity    int     `json:"capacity"`
-	Hits        uint64  `json:"hits"`
-	Misses      uint64  `json:"misses"`
-	Evictions   uint64  `json:"evictions"`
-	Expirations uint64  `json:"expirations"`
-	HitRatio    float64 `json:"hit_ratio"`
+	Hits     uint64  `json:"hits"`
+	Misses   uint64  `json:"misses"`
+	HitRatio float64 `json:"hit_ratio"`
 }
 
 // LatencySummary is the per-scheme wall-clock execution latency digest in
@@ -343,8 +342,7 @@ type WorkerStatus struct {
 	LastSeenS float64 `json:"last_seen_s"`
 }
 
-// DistStats is the coordinator's lease-table snapshot in GET /v1/stats
-// (wire mirror of the internal dist.Stats).
+// DistStats is the coordinator's lease-table snapshot in GET /v1/stats.
 type DistStats struct {
 	WorkersAlive    int            `json:"workers_alive"`
 	Queued          int            `json:"queued"`

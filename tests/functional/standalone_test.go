@@ -96,7 +96,7 @@ func TestStandaloneLifecycle(t *testing.T) {
 }
 
 // TestJournalResumeServesWarmCache restarts a daemon against its checkpoint
-// journal and expects the replayed cache to answer a resubmission without
+// journal and expects the preloaded memo to answer a resubmission without
 // re-executing — the restart-resume half of the retired smoke-script
 // standalone phase, driven black-box.
 func TestJournalResumeServesWarmCache(t *testing.T) {
