@@ -16,7 +16,7 @@
 //	experiments [-quick] [-exp all|table2|table3|fig3|fig6|fig7|fig8|fig9|fig10|fig12|fig13|fig14]
 //	            [-warmup N] [-measure N] [-seed N]
 //	            [-jobs N] [-run-timeout D] [-checkpoint FILE] [-resume]
-//	            [-obs-addr :6060] [-metrics-out FILE [-metrics-interval N]]
+//	            [-obs-addr :6060]
 //	            [-cpuprofile cpu.out] [-memprofile mem.out]
 //
 // All experiment tables go to stdout, which is byte-identical for a given
@@ -43,9 +43,7 @@ import (
 	"sttsim/internal/mem"
 	"sttsim/internal/noc"
 	"sttsim/internal/prof"
-	"sttsim/internal/sim"
 	"sttsim/internal/version"
-	"sttsim/internal/workload"
 )
 
 func main() {
@@ -62,8 +60,6 @@ func main() {
 	checkpoint := flag.String("checkpoint", "", "JSONL checkpoint journal for finished runs (empty = none)")
 	resume := flag.Bool("resume", false, "replay finished runs from the checkpoint journal instead of re-executing them")
 	obsAddr := flag.String("obs-addr", "", "serve net/http/pprof + expvar (live campaign progress) on this address (empty = off)")
-	metricsOut := flag.String("metrics-out", "", "after the campaign, record a representative run's time-series metrics to this file (.jsonl = JSONL, else CSV)")
-	metricsInterval := flag.Uint64("metrics-interval", 1000, "sampling period (cycles) for the -metrics-out run")
 	showVersion := flag.Bool("version", false, "print the build version and exit")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the whole campaign to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile (post-campaign snapshot) to this file")
@@ -79,7 +75,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	code := run(*which, *quick, *warmup, *measure, *seed, *tech, *topo, *jobs, *runTimeout, *checkpoint, *resume, *obsAddr, *metricsOut, *metricsInterval)
+	code := run(*which, *quick, *warmup, *measure, *seed, *tech, *topo, *jobs, *runTimeout, *checkpoint, *resume, *obsAddr)
 	if perr := stopProf(); perr != nil {
 		fmt.Fprintln(os.Stderr, "experiments: profile:", perr)
 		if code == 0 {
@@ -92,7 +88,7 @@ func main() {
 // run executes the selected experiments and returns the process exit code
 // (0 = every experiment passed, 1 = failures or interruption, 2 = bad
 // usage). Factored out of main so deferred cleanup runs before os.Exit.
-func run(which string, quick bool, warmup, measure, seed uint64, tech, topo string, jobs int, runTimeout time.Duration, checkpoint string, resume bool, obsAddr, metricsOut string, metricsInterval uint64) int {
+func run(which string, quick bool, warmup, measure, seed uint64, tech, topo string, jobs int, runTimeout time.Duration, checkpoint string, resume bool, obsAddr string) int {
 	var shape noc.Topology
 	if topo != "" {
 		t, err := noc.ParseTopology(topo)
@@ -382,10 +378,9 @@ func run(which string, quick bool, warmup, measure, seed uint64, tech, topo stri
 			}
 		}
 	}
-	// Close cancels the engine context, so capture interrupted-ness first —
-	// the metrics artifact below must be skipped only on a real SIGINT.
-	interrupted := eng.Interrupted()
-	if interrupted {
+	// Close cancels the engine context, so a real SIGINT can only be told
+	// apart before it.
+	if eng.Interrupted() {
 		fmt.Fprintln(os.Stderr, "campaign interrupted; partial results rendered above")
 		exitCode = 1
 	}
@@ -393,49 +388,5 @@ func run(which string, quick bool, warmup, measure, seed uint64, tech, topo stri
 		fmt.Fprintf(os.Stderr, "experiments: closing checkpoint journal: %v\n", err)
 		exitCode = 1
 	}
-	if metricsOut != "" && !interrupted {
-		// Metrics artifact: one representative WB/tpcc run outside the
-		// campaign (observed runs are not cacheable, so this never perturbs
-		// the journal or the memoized tables above).
-		if err := writeMetricsArtifact(metricsOut, metricsInterval, warmup, measure, seed); err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: metrics artifact: %v\n", err)
-			exitCode = 1
-		} else {
-			fmt.Fprintf(os.Stderr, "experiments: metrics artifact written to %s\n", metricsOut)
-		}
-	}
 	return exitCode
-}
-
-// writeMetricsArtifact samples the recommended scheme on tpcc and exports the
-// time series next to the campaign's other outputs.
-func writeMetricsArtifact(path string, interval, warmup, measure, seed uint64) error {
-	prof, err := workload.ByName("tpcc")
-	if err != nil {
-		return err
-	}
-	res, err := sim.Run(sim.Config{
-		Scheme:        sim.SchemeSTT4TSBWB,
-		Assignment:    workload.Homogeneous(prof),
-		Seed:          seed,
-		WarmupCycles:  warmup,
-		MeasureCycles: measure,
-		Obs:           &sim.ObsConfig{MetricsInterval: interval},
-	})
-	if err != nil {
-		return err
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if strings.HasSuffix(path, ".jsonl") {
-		err = res.Metrics.WriteJSONL(f)
-	} else {
-		err = res.Metrics.WriteCSV(f)
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	return err
 }

@@ -1,22 +1,34 @@
 // Command nocsim runs one simulation of the 64-core / 64-bank 3D CMP and
-// prints its performance, latency, traffic and energy report.
+// prints its performance, latency, traffic and energy report. With fault
+// flags it runs a fault-injection campaign and reports how the system
+// degraded; a run that stops making progress prints the structured failure
+// (cycle, cause, invariant verdict, in-flight packets) instead.
 //
 // Usage:
 //
 //	nocsim -bench tpcc -scheme wb [-regions 8] [-stagger] [-hops 2]
 //	       [-tech sttram-rr10] [-topo 8x8x3]
 //	       [-warmup 20000] [-measure 60000] [-writebuf 0] [-plus1vc]
-//	       [-trace out.jsonl [-decompose]] [-metrics-interval 1000 -metrics-out m.csv]
+//	       [-rate 1e-4] [-kill-tsbs 1] [-kill-cycle 1] [-max-retries 3]
+//	       [-deadlock] [-audit 10000]
+//	       [-trace out.jsonl [-decompose]] [-metrics-out m.csv [-metrics-interval 1000]]
 //	       [-cpuprofile cpu.out] [-memprofile mem.out]
+//
+// Exit status: 0 on success, 2 for bad flags or an invalid configuration,
+// 3 when the run fails with a structured *sim.RunError (deadlock, invariant
+// violation), 1 for any other error.
 package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
+	"sttsim/internal/fault"
 	"sttsim/internal/mem"
 	"sttsim/internal/noc"
 	"sttsim/internal/obs"
@@ -69,12 +81,18 @@ func run() int {
 	writebuf := flag.Int("writebuf", 0, "per-bank write-buffer entries (20 = BUFF-20)")
 	preempt := flag.Bool("preempt", false, "enable read preemption in the write buffer")
 	plus1vc := flag.Bool("plus1vc", false, "grant the request class one extra VC")
+	var faults faultFlags
+	flag.Float64Var(&faults.rate, "rate", 0, "raw STT-RAM write error rate (per array write)")
+	flag.IntVar(&faults.killTSBs, "kill-tsbs", 0, "number of region TSBs to kill (regions 0..n-1)")
+	flag.Uint64Var(&faults.killCycle, "kill-cycle", 1, "cycle the TSB and -deadlock port failures fire at")
+	flag.IntVar(&faults.maxRetries, "max-retries", 0, "write retry bound (0 = default 3)")
+	flag.BoolVar(&faults.deadlock, "deadlock", false, "induce a deadlock (kill a bank's local port) and print the structured failure")
+	audit := flag.Uint64("audit", 10000, "invariant audit interval in cycles (0 disables)")
 	asJSON := flag.Bool("json", false, "emit the report as JSON")
-	tracePath := flag.String("trace", "", "record packet-lifecycle events to this file (internal/obs)")
-	traceFormat := flag.String("trace-format", "auto", "trace encoding: auto|jsonl|binary (auto: .jsonl extension means JSONL)")
+	tracePath := flag.String("trace", "", "record packet-lifecycle events to this file (.jsonl extension means JSONL, else binary)")
 	decompose := flag.Bool("decompose", false, "after the run, reduce the -trace file into the latency-breakdown table")
-	metricsInterval := flag.Uint64("metrics-interval", 0, "sample time-series metrics every K cycles (0 = off; implied 1000 when -metrics-out is set)")
-	metricsOut := flag.String("metrics-out", "", "write sampled metrics to this file (.jsonl extension means JSONL, else CSV)")
+	metricsOut := flag.String("metrics-out", "", "sample time-series metrics and write them to this file (.jsonl extension means JSONL, else CSV)")
+	metricsInterval := flag.Uint64("metrics-interval", 1000, "sampling period in cycles for -metrics-out")
 	showVersion := flag.Bool("version", false, "print the build version and exit")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile (post-run snapshot) to this file")
@@ -121,10 +139,21 @@ func run() int {
 		WriteBufferEntries: *writebuf,
 		ReadPreemption:     *preempt,
 		ExtraReqVC:         *plus1vc,
+		AuditInterval:      *audit,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 2
+	}
+	if cfg.Fault = faults.config(cfg.Topology()); cfg.Fault != nil {
+		if faults.deadlock {
+			// A short watchdog window reports the induced deadlock promptly.
+			cfg.WatchdogCycles = 2000
+		}
+		if err := cfg.Validate(); err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			return 2
+		}
 	}
 
 	if *decompose && *tracePath == "" {
@@ -132,30 +161,30 @@ func run() int {
 		return 2
 	}
 	if *metricsOut != "" && *metricsInterval == 0 {
-		*metricsInterval = 1000
+		fmt.Fprintln(os.Stderr, "-metrics-out needs a positive -metrics-interval")
+		return 2
 	}
-	var obsCfg *sim.ObsConfig
 	var sink obs.Sink
-	if *tracePath != "" || *metricsInterval > 0 {
-		obsCfg = &sim.ObsConfig{MetricsInterval: *metricsInterval}
+	if *tracePath != "" || *metricsOut != "" {
+		cfg.Obs = &sim.ObsConfig{}
 		if *tracePath != "" {
 			f, err := os.Create(*tracePath)
 			if err != nil {
 				fmt.Fprintln(os.Stderr, err)
 				return 1
 			}
-			binary := *traceFormat == "binary" ||
-				(*traceFormat == "auto" && !strings.HasSuffix(*tracePath, ".jsonl"))
-			if binary {
-				sink = obs.NewBinarySink(f)
-			} else {
+			if strings.HasSuffix(*tracePath, ".jsonl") {
 				sink = obs.NewJSONLSink(f)
+			} else {
+				sink = obs.NewBinarySink(f)
 			}
-			obsCfg.Sink = sink
+			cfg.Obs.Sink = sink
+		}
+		if *metricsOut != "" {
+			cfg.Obs.MetricsInterval = *metricsInterval
 		}
 	}
 
-	cfg.Obs = obsCfg
 	res, rerr := sim.Run(cfg)
 	if sink != nil {
 		// Flush buffered events before reporting (and before -decompose
@@ -166,6 +195,11 @@ func run() int {
 		}
 	}
 	if rerr != nil {
+		var re *sim.RunError
+		if errors.As(rerr, &re) {
+			printRunError(os.Stderr, re)
+			return 3
+		}
 		fmt.Fprintln(os.Stderr, rerr)
 		return 1
 	}
@@ -227,6 +261,9 @@ func run() int {
 		fmt.Printf("arbiter           %d delay decisions, %d reads + %d writes via parents\n",
 			res.Arbiter.DelayDecisions, res.Arbiter.ForwardedReads, res.Arbiter.ForwardedWrites)
 	}
+	if res.Fault != nil {
+		fmt.Printf("degradation: %s\n", res.Fault)
+	}
 	fmt.Printf("\naccess-after-write gap distribution\n%s", res.GapHist)
 	if *decompose {
 		if derr := runDecompose(*tracePath); derr != nil {
@@ -235,6 +272,60 @@ func run() int {
 		}
 	}
 	return 0
+}
+
+// faultFlags holds the fault-campaign flags.
+type faultFlags struct {
+	rate       float64
+	killTSBs   int
+	killCycle  uint64
+	maxRetries int
+	deadlock   bool
+}
+
+// config translates the flags into the run's fault campaign on topology t.
+// It returns nil when no fault flag is set, so fault-free runs keep their
+// fingerprint and output.
+func (f faultFlags) config(t noc.Topology) *fault.Config {
+	if f.rate == 0 && f.killTSBs == 0 && f.maxRetries == 0 && !f.deadlock {
+		return nil
+	}
+	fc := &fault.Config{WriteErrorRate: f.rate, MaxWriteRetries: f.maxRetries}
+	for k := 0; k < f.killTSBs; k++ {
+		fc.TSBFailures = append(fc.TSBFailures, fault.TSBFailure{Cycle: f.killCycle, Region: k})
+	}
+	if f.deadlock {
+		// Kill the ejection port of the cache bank under the core nearest
+		// the mesh centre (node 27 on the paper's 8x8 mesh): every demand
+		// request to that bank wedges at its router, the cores' windows fill
+		// on the never-completing loads, the system quiesces, and the
+		// watchdog fires.
+		fc.PortFaults = append(fc.PortFaults, fault.PortFault{
+			Cycle: f.killCycle,
+			Node:  t.Below(t.NodeAt(0, (t.MeshX-1)/2, (t.MeshY-1)/2)),
+			Port:  noc.PortLocal,
+		})
+	}
+	return fc
+}
+
+// printRunError renders the structured failure: headline, cause, audit
+// verdict, and the in-flight packet dump (first 20 packets).
+func printRunError(w io.Writer, re *sim.RunError) {
+	fmt.Fprintf(w, "RUN FAILED: %s/%s at cycle %d\n", re.Scheme, re.Benchmark, re.Cycle)
+	fmt.Fprintf(w, "  cause: %v\n", re.Err)
+	if re.Invariant != nil {
+		fmt.Fprintf(w, "  invariant audit: %v\n", re.Invariant)
+	}
+	fmt.Fprintf(w, "  %d packets in flight:\n", len(re.Packets))
+	const max = 20
+	for i, p := range re.Packets {
+		if i == max {
+			fmt.Fprintf(w, "    ... and %d more\n", len(re.Packets)-max)
+			break
+		}
+		fmt.Fprintf(w, "    %s\n", p.String())
+	}
 }
 
 // writeMetrics exports the sampled time series (CSV, or JSONL for .jsonl).

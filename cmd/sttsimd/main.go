@@ -104,25 +104,27 @@ func main() {
 	var jrn *campaign.Journal
 	var pending []campaign.Record
 	if *checkpoint != "" {
+		var dropped int
 		if *resume {
-			recs, dropped, err := campaign.LoadJournalEx(*checkpoint)
+			var err error
+			pending, dropped, err = campaign.LoadJournalEx(*checkpoint)
 			if err != nil && !os.IsNotExist(err) {
 				logger.Fatalf("load checkpoint: %v", err)
 			}
 			if dropped > 0 {
 				logger.Printf("dropped %d torn/corrupt journal line(s) from %s", dropped, *checkpoint)
 			}
-			pending = recs
 		}
 		sync, err := campaign.ParseSyncPolicy(*journalSync)
 		if err != nil {
 			logger.Fatal(err)
 		}
 		jrn, err = campaign.OpenJournalWith(*checkpoint, *resume, campaign.JournalOptions{
-			Sync:      sync,
-			SyncEvery: *journalSyncInterval,
-			MaxBytes:  *journalMaxBytes,
-			Logf:      logger.Printf,
+			Sync:          sync,
+			SyncEvery:     *journalSyncInterval,
+			MaxBytes:      *journalMaxBytes,
+			ReplayDropped: dropped,
+			Logf:          logger.Printf,
 		})
 		if err != nil {
 			logger.Fatalf("open checkpoint: %v", err)

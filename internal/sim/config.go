@@ -206,7 +206,7 @@ type Config struct {
 
 	// AuditInterval, when nonzero, runs noc.CheckInvariants every
 	// AuditInterval cycles during the run; a violation aborts the run with a
-	// structured *RunError. DefaultAuditInterval (via cmd drivers) is 10000.
+	// structured *RunError. cmd/nocsim audits every 10000 cycles by default.
 	AuditInterval uint64
 
 	// WatchdogCycles overrides the NoC deadlock watchdog window (0 = the

@@ -45,7 +45,7 @@ func TestSchemeProperties(t *testing.T) {
 }
 
 // TestParseScheme: every command-line spelling and paper name resolves, in
-// any case, and the faultcamp-only spellings of old are gone.
+// any case, and near-miss spellings such as "stt" or "4tsb" are rejected.
 func TestParseScheme(t *testing.T) {
 	flags := []string{"sram", "stt64", "stt4", "ss", "rca", "wb"}
 	for i, s := range AllSchemes() {

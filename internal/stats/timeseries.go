@@ -4,8 +4,7 @@ package stats
 // are registered once at simulator construction, then Sample(now) snapshots
 // every probe into a fixed-capacity ring buffer every K cycles. The rings
 // bound memory for arbitrarily long runs; the exported MetricsLog is what
-// cmd/experiments and cmd/faultcamp write out as CSV/JSONL artifacts next to
-// the checkpoint journal.
+// cmd/nocsim -metrics-out writes out as a CSV/JSONL artifact.
 
 import (
 	"bufio"

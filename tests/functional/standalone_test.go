@@ -3,6 +3,7 @@ package functional
 import (
 	"context"
 	"encoding/json"
+	"os"
 	"path/filepath"
 	"testing"
 	"time"
@@ -112,6 +113,19 @@ func TestJournalResumeServesWarmCache(t *testing.T) {
 	}
 	d1.Stop()
 
+	// A torn final line, as a crash mid-append leaves it: the replay must
+	// drop it, count it in /v1/stats and still serve the intact record.
+	f, err := os.OpenFile(journal, os.O_APPEND|os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteString(`{"fp":"torn`); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+
 	d2, c2 := startStandalone(t, "-checkpoint", journal, "-resume")
 	defer d2.Stop()
 	st2, err := c2.Submit(ctx, smokeSpec(41))
@@ -134,6 +148,9 @@ func TestJournalResumeServesWarmCache(t *testing.T) {
 	}
 	if stats.Engine.Executed != 0 {
 		t.Errorf("engine executed %d jobs after resume, want 0 (journal replay should serve it)", stats.Engine.Executed)
+	}
+	if stats.Journal == nil || stats.Journal.ReplayDropped != 1 {
+		t.Errorf("journal stats = %+v, want replay_dropped 1 for the torn line", stats.Journal)
 	}
 }
 
