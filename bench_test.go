@@ -1,6 +1,7 @@
-// Package sttsim's root benchmark harness: one testing.B benchmark per table
-// and figure of the paper's evaluation (each regenerates the corresponding
-// rows/series through internal/exp at a reduced cycle budget), plus
+// Package sttsim's root benchmark harness: one BenchmarkExperiments
+// sub-benchmark per table and figure of the paper's evaluation (each
+// regenerates the corresponding rows/series through internal/exp at a
+// reduced cycle budget), plus
 // micro-benchmarks of the substrates (network, bank, workload generator,
 // whole-system cycle rate).
 //
@@ -43,89 +44,16 @@ func must(b *testing.B, err error) {
 // Paper tables and figures.
 // ---------------------------------------------------------------------------
 
-func BenchmarkTable2(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		exp.Table2(io.Discard)
-	}
-}
-
-func BenchmarkTable3(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := exp.Table3(benchRunner())
-		must(b, err)
-		exp.PrintTable3(io.Discard, rows)
-	}
-}
-
-func BenchmarkFigure3(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		entries, err := exp.Figure3(benchRunner())
-		must(b, err)
-		exp.PrintFigure3(io.Discard, entries)
-	}
-}
-
-func BenchmarkFigure6(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := exp.Figure6(benchRunner())
-		must(b, err)
-		exp.PrintFigure6(io.Discard, res)
-	}
-}
-
-func BenchmarkFigure7(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		entries, err := exp.Figure7(benchRunner())
-		must(b, err)
-		exp.PrintFigure7(io.Discard, entries)
-	}
-}
-
-func BenchmarkFigure8(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		entries, err := exp.Figure8(benchRunner())
-		must(b, err)
-		exp.PrintFigure8(io.Discard, entries)
-	}
-}
-
-func BenchmarkFigure9(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		cases, err := exp.Figure9(benchRunner())
-		must(b, err)
-		exp.PrintFigure9(io.Discard, cases)
-	}
-}
-
-func BenchmarkFigure10(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		entries, err := exp.Figure10(benchRunner())
-		must(b, err)
-		exp.PrintFigure10(io.Discard, entries)
-	}
-}
-
-func BenchmarkFigure12(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		points, err := exp.Figure12(benchRunner())
-		must(b, err)
-		exp.PrintFigure12(io.Discard, points)
-	}
-}
-
-func BenchmarkFigure13(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := exp.Figure13(benchRunner())
-		must(b, err)
-		exp.PrintFigure13(io.Discard, res)
-	}
-}
-
-func BenchmarkFigure14(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		entries, err := exp.Figure14(benchRunner())
-		must(b, err)
-		exp.PrintFigure14(io.Discard, entries)
+// BenchmarkExperiments regenerates every table and figure of
+// `experiments -exp all`, one sub-benchmark per exp.Experiments entry, each
+// on a fresh runner so no experiment reuses another's runs.
+func BenchmarkExperiments(b *testing.B) {
+	for _, e := range exp.Experiments {
+		b.Run(e.Name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				e.Run(benchRunner(), io.Discard)
+			}
+		})
 	}
 }
 
@@ -396,20 +324,6 @@ func BenchmarkTracingEnabled(b *testing.B) {
 // BenchmarkMetricsEnabled measures the sampling-registry-only configuration.
 func BenchmarkMetricsEnabled(b *testing.B) {
 	benchTracing(b, &sim.ObsConfig{MetricsInterval: 1000})
-}
-
-// BenchmarkAblations regenerates the design-choice sensitivity sweeps
-// (write-latency inflection, WB window, hold cap, interface depth).
-func BenchmarkAblations(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r := benchRunner()
-		wl, err := exp.AblationWriteLatency(r)
-		must(b, err)
-		exp.PrintWriteLatency(io.Discard, wl)
-		pts, err := exp.AblationWBWindow(r)
-		must(b, err)
-		exp.PrintAblation(io.Discard, "wb window", pts)
-	}
 }
 
 // BenchmarkTraceRecordReplay measures the trace substrate's record+load+

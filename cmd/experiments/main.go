@@ -13,13 +13,14 @@
 //
 // Usage:
 //
-//	experiments [-quick] [-exp all|table2|table3|fig3|fig6|fig7|fig8|fig9|fig10|fig12|fig13|fig14]
-//	            [-warmup N] [-measure N] [-seed N]
+//	experiments [-quick] [-exp all|<name>] [-warmup N] [-measure N] [-seed N]
+//	            [-tech PROFILE] [-topo XxYxL]
 //	            [-jobs N] [-run-timeout D] [-checkpoint FILE] [-resume]
 //	            [-obs-addr :6060]
 //	            [-cpuprofile cpu.out] [-memprofile mem.out]
 //
-// All experiment tables go to stdout, which is byte-identical for a given
+// The -exp names are those of exp.Experiments, in the order -exp all runs
+// them (-help lists them). All experiment tables go to stdout, which is byte-identical for a given
 // configuration regardless of -jobs and of checkpoint replay; timing and
 // campaign diagnostics go to stderr.
 package main
@@ -47,7 +48,7 @@ import (
 )
 
 func main() {
-	which := flag.String("exp", "all", "experiment to run (all, table2, table3, fig3, fig6, fig7, fig8, fig9, fig10, fig12, fig13, fig14, ablations, extensions, resilience)")
+	which := flag.String("exp", "all", "experiment to run ("+experimentNames()+")")
 	quick := flag.Bool("quick", false, "restrict sweeps to a representative benchmark subset")
 	warmup := flag.Uint64("warmup", 0, "warmup cycles per run (0 = default)")
 	measure := flag.Uint64("measure", 0, "measured cycles per run (0 = default)")
@@ -85,10 +86,31 @@ func main() {
 	os.Exit(code)
 }
 
+// experimentNames lists the valid -exp values.
+func experimentNames() string {
+	names := []string{"all"}
+	for _, e := range exp.Experiments {
+		names = append(names, e.Name)
+	}
+	return strings.Join(names, ", ")
+}
+
 // run executes the selected experiments and returns the process exit code
 // (0 = every experiment passed, 1 = failures or interruption, 2 = bad
 // usage). Factored out of main so deferred cleanup runs before os.Exit.
 func run(which string, quick bool, warmup, measure, seed uint64, tech, topo string, jobs int, runTimeout time.Duration, checkpoint string, resume bool, obsAddr string) int {
+	if resume && checkpoint == "" {
+		fmt.Fprintln(os.Stderr, "experiments: -resume needs -checkpoint FILE (there is no journal to resume from)")
+		return 2
+	}
+	known := which == "all"
+	for _, e := range exp.Experiments {
+		known = known || e.Name == which
+	}
+	if !known {
+		fmt.Fprintf(os.Stderr, "unknown experiment %q (valid: %s)\n", which, experimentNames())
+		return 2
+	}
 	var shape noc.Topology
 	if topo != "" {
 		t, err := noc.ParseTopology(topo)
@@ -126,25 +148,14 @@ func run(which string, quick bool, warmup, measure, seed uint64, tech, topo stri
 		fmt.Fprintf(os.Stderr, "experiments: pprof+expvar on http://%s/debug/\n", obsAddr)
 	}
 	if checkpoint != "" {
-		if resume {
-			recs, dropped, err := campaign.LoadJournalEx(checkpoint)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-				return 1
-			}
-			if dropped > 0 {
-				fmt.Fprintf(os.Stderr, "experiments: %s: dropped %d torn/corrupt journal line(s); the affected runs will re-execute\n", checkpoint, dropped)
-			}
-			if n := eng.Preload(recs); n > 0 {
-				fmt.Fprintf(os.Stderr, "experiments: resuming, %d finished runs replayed from %s\n", n, checkpoint)
-			}
-		}
-		j, err := campaign.OpenJournal(checkpoint, resume)
-		if err != nil {
+		logf := func(format string, args ...any) { fmt.Fprintf(os.Stderr, "experiments: "+format+"\n", args...) }
+		if _, err := eng.OpenJournal(checkpoint, resume, campaign.JournalOptions{Logf: logf}); err != nil {
 			fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
 			return 1
 		}
-		eng.AttachJournal(j)
+		if n := eng.Stats().Replayed; n > 0 {
+			logf("resuming, %d finished runs replayed from %s", n, checkpoint)
+		}
 	}
 
 	r := exp.NewRunnerEngine(exp.Options{
@@ -158,197 +169,40 @@ func run(which string, quick bool, warmup, measure, seed uint64, tech, topo stri
 		Layers:        shape.Layers,
 	}, eng)
 
-	type experiment struct {
-		name string
-		run  func() error
-	}
-	w := os.Stdout
-	experiments := []experiment{
-		{"table2", func() error { exp.Table2(w); return nil }},
-		{"table3", func() error {
-			rows, err := exp.Table3(r)
-			if err != nil {
-				return err
-			}
-			exp.PrintTable3(w, rows)
-			return nil
-		}},
-		{"fig3", func() error {
-			entries, err := exp.Figure3(r)
-			if err != nil {
-				return err
-			}
-			exp.PrintFigure3(w, entries)
-			return nil
-		}},
-		{"fig6", func() error {
-			res, err := exp.Figure6(r)
-			if err != nil {
-				return err
-			}
-			exp.PrintFigure6(w, res)
-			return nil
-		}},
-		{"fig7", func() error {
-			entries, err := exp.Figure7(r)
-			if err != nil {
-				return err
-			}
-			exp.PrintFigure7(w, entries)
-			return nil
-		}},
-		{"fig8", func() error {
-			entries, err := exp.Figure8(r)
-			if err != nil {
-				return err
-			}
-			exp.PrintFigure8(w, entries)
-			return nil
-		}},
-		{"fig9", func() error {
-			cases, err := exp.Figure9(r)
-			if err != nil {
-				return err
-			}
-			exp.PrintFigure9(w, cases)
-			return nil
-		}},
-		{"fig10", func() error {
-			entries, err := exp.Figure10(r)
-			if err != nil {
-				return err
-			}
-			exp.PrintFigure10(w, entries)
-			return nil
-		}},
-		{"fig12", func() error {
-			points, err := exp.Figure12(r)
-			if err != nil {
-				return err
-			}
-			exp.PrintFigure12(w, points)
-			return nil
-		}},
-		{"fig13", func() error {
-			res, err := exp.Figure13(r)
-			if err != nil {
-				return err
-			}
-			exp.PrintFigure13(w, res)
-			return nil
-		}},
-		{"fig14", func() error {
-			entries, err := exp.Figure14(r)
-			if err != nil {
-				return err
-			}
-			exp.PrintFigure14(w, entries)
-			return nil
-		}},
-		{"extensions", func() error {
-			entries, err := exp.Extensions(r)
-			if err != nil {
-				return err
-			}
-			exp.PrintExtensions(w, entries)
-			return nil
-		}},
-		{"resilience", func() error {
-			entries, err := exp.Resilience(r, "tpcc")
-			if err != nil {
-				return err
-			}
-			exp.PrintResilience(w, entries)
-			return nil
-		}},
-		{"ablations", func() error {
-			wl, err := exp.AblationWriteLatency(r)
-			if err != nil {
-				return err
-			}
-			exp.PrintWriteLatency(w, wl)
-			for _, a := range []struct {
-				title string
-				run   func(*exp.Runner) ([]exp.AblationPoint, error)
-			}{
-				{"WB tagging window (Section 3.5: N=100)", exp.AblationWBWindow},
-				{"arbiter hard-hold window", exp.AblationHoldCap},
-				{"module-interface queue depth", exp.AblationBankQueue},
-			} {
-				pts, err := a.run(r)
-				if err != nil {
-					return err
-				}
-				fmt.Fprintln(w)
-				exp.PrintAblation(w, a.title, pts)
-			}
-			return nil
-		}},
-	}
-
-	titles := map[string]string{
-		"table2":     "Table 2: SRAM vs STT-RAM bank parameters (32nm, 3GHz)",
-		"table3":     "Table 3: benchmark characterization, measured vs paper",
-		"fig3":       "Figure 3: accesses following a write to the same bank (STT-RAM baseline)",
-		"fig6":       "Figure 6: system throughput of the six schemes",
-		"fig7":       "Figure 7: packet latency breakdown (network vs bank queuing)",
-		"fig8":       "Figure 8: un-core energy normalized to SRAM-64TSB",
-		"fig9":       "Figure 9: weighted speedup and instruction throughput (Cases 1-3)",
-		"fig10":      "Figure 10: maximum slowdown in Case-2 (fairness)",
-		"fig12":      "Figure 12: sensitivity to TSB placement and region count (WB scheme)",
-		"fig13":      "Figure 13: sensitivity to parent-child hop distance",
-		"fig14":      "Figure 14: comparison with the read-preemptive write buffer (BUFF-20)",
-		"ablations":  "Ablations: write-latency inflection, WB window, hold cap, interface depth",
-		"extensions": "Extensions: early write termination (Zhou et al.) and hybrid SRAM/STT-RAM banks",
-		"resilience": "Resilience: degradation under stochastic write errors and TSB failures (tpcc)",
-	}
-
 	// verdict is one experiment's outcome for the end-of-campaign summary.
 	type verdict struct {
 		name      string
-		err       error  // hard driver error (nil when the tables rendered)
 		failed    uint64 // run failures surfaced as FAILED(...) cells
 		cancelled uint64 // runs abandoned by an interrupt mid-experiment
 		skipped   bool   // campaign interrupted before this experiment started
 		secs      float64
 	}
 	var verdicts []verdict
-	ran := false
-	for _, e := range experiments {
-		if which != "all" && which != e.name {
+	w := os.Stdout
+	for _, e := range exp.Experiments {
+		if which != "all" && which != e.Name {
 			continue
 		}
-		ran = true
-		if eng.Interrupted() && e.name != "table2" {
-			verdicts = append(verdicts, verdict{name: e.name, skipped: true})
+		if eng.Interrupted() {
+			verdicts = append(verdicts, verdict{name: e.Name, skipped: true})
 			continue
 		}
 		start := time.Now()
 		before := eng.Stats()
-		fmt.Fprintf(w, "=== %s ===\n", titles[e.name])
-		err := e.run()
+		fmt.Fprintf(w, "=== %s ===\n", e.Title)
+		e.Run(r, w)
 		after := eng.Stats()
 		v := verdict{
-			name:      e.name,
-			err:       err,
+			name:      e.Name,
 			failed:    after.Failed - before.Failed,
 			cancelled: after.Cancelled - before.Cancelled,
 			secs:      time.Since(start).Seconds(),
 		}
 		verdicts = append(verdicts, v)
-		if err != nil {
-			// Driver-level failure (bad arguments, journal I/O): report and
-			// move on to the remaining experiments.
-			fmt.Fprintf(os.Stderr, "experiment %s failed: %v\n", e.name, err)
-		}
 		// Timing to stderr: stdout stays byte-identical across -jobs levels
 		// and checkpoint replays.
-		fmt.Fprintf(os.Stderr, "(%s in %.1fs)\n", e.name, v.secs)
+		fmt.Fprintf(os.Stderr, "(%s in %.1fs)\n", e.Name, v.secs)
 		fmt.Fprintln(w)
-	}
-	if !ran {
-		fmt.Fprintf(os.Stderr, "unknown experiment %q\n", which)
-		return 2
 	}
 
 	eng.Drain()
@@ -363,8 +217,6 @@ func run(which string, quick bool, warmup, measure, seed uint64, tech, topo stri
 			switch {
 			case v.skipped:
 				status, detail = "SKIP", "interrupted before start"
-			case v.err != nil:
-				status, detail = "FAIL", v.err.Error()
 			case v.failed > 0:
 				status = "FAIL"
 				detail = fmt.Sprintf("%d run(s) FAILED, see cells above", v.failed)

@@ -84,6 +84,10 @@ func main() {
 		logger.Fatalf("unknown -mode %q (want standalone, coordinator, or worker)", *mode)
 	}
 
+	if *resume && *checkpoint == "" {
+		logger.Fatal("-resume needs -checkpoint FILE (there is no journal to resume from)")
+	}
+
 	var table *dist.Table
 	engineJobs := *jobs
 	if *mode == "coordinator" {
@@ -97,40 +101,29 @@ func main() {
 	}
 
 	eng := campaign.New(campaign.Policy{Jobs: engineJobs, RunTimeout: *runTimeout})
+	defer eng.Close()
 
 	// The journal opens before the server so its health feeds /ready and
-	// /v1/stats from the first request. Replay (load) precedes open: open
-	// with resume repairs any torn tail in place.
-	var jrn *campaign.Journal
+	// /v1/stats from the first request. With -resume its records preload
+	// the memo first, and open repairs any torn tail in place.
 	var pending []campaign.Record
 	if *checkpoint != "" {
-		var dropped int
-		if *resume {
-			var err error
-			pending, dropped, err = campaign.LoadJournalEx(*checkpoint)
-			if err != nil && !os.IsNotExist(err) {
-				logger.Fatalf("load checkpoint: %v", err)
-			}
-			if dropped > 0 {
-				logger.Printf("dropped %d torn/corrupt journal line(s) from %s", dropped, *checkpoint)
-			}
-		}
 		sync, err := campaign.ParseSyncPolicy(*journalSync)
 		if err != nil {
 			logger.Fatal(err)
 		}
-		jrn, err = campaign.OpenJournalWith(*checkpoint, *resume, campaign.JournalOptions{
-			Sync:          sync,
-			SyncEvery:     *journalSyncInterval,
-			MaxBytes:      *journalMaxBytes,
-			ReplayDropped: dropped,
-			Logf:          logger.Printf,
+		pending, err = eng.OpenJournal(*checkpoint, *resume, campaign.JournalOptions{
+			Sync:      sync,
+			SyncEvery: *journalSyncInterval,
+			MaxBytes:  *journalMaxBytes,
+			Logf:      logger.Printf,
 		})
 		if err != nil {
 			logger.Fatalf("open checkpoint: %v", err)
 		}
-		defer jrn.Close()
-		eng.AttachJournal(jrn)
+		if len(pending) > 0 {
+			logger.Printf("resumed %d journal record(s), %d preloaded the memo", len(pending), eng.Stats().Replayed)
+		}
 	}
 
 	srv, err := service.NewServer(service.Options{
@@ -140,15 +133,11 @@ func main() {
 		RateBurst:  *burst,
 		Version:    ver,
 		Dist:       table,
-		Journal:    jrn,
+		Journal:    eng.Journal(),
 		Logf:       logger.Printf,
 	})
 	if err != nil {
 		logger.Fatal(err)
-	}
-	if len(pending) > 0 {
-		n := eng.Preload(pending)
-		logger.Printf("resumed %d journal record(s), %d preloaded the memo", len(pending), n)
 	}
 	// After the journal is attached, so re-queued jobs write fresh lease
 	// records and eventually terminal ones.

@@ -4,6 +4,9 @@
 // goroutine makes the whole thing as fragile as its weakest run. The engine
 // provides:
 //
+//   - one way in, Engine.Submit(key, cfg, run), which returns a Handle to the
+//     (possibly shared) run; Run is Submit plus Outcome under cfg's
+//     fingerprint, and a prefetch is Submit with the handle dropped;
 //   - a bounded worker pool (Policy.Jobs, default GOMAXPROCS) with a
 //     concurrency-safe, singleflight-deduplicated memo keyed by the
 //     collision-proof sim.Config.Fingerprint, so sweeps sharing
@@ -14,9 +17,9 @@
 //     with exponential backoff for watchdog/timeout verdicts, immediate
 //     quarantine for deterministic failures (the same seed would just die
 //     the same way again);
-//   - an on-disk JSONL checkpoint journal (journal.go), so an interrupted
-//     campaign replays finished runs from disk and only executes the
-//     remainder;
+//   - an on-disk JSONL checkpoint journal (journal.go), opened by
+//     Engine.OpenJournal, so an interrupted campaign replays finished runs
+//     from disk and only executes the remainder;
 //   - graceful drain: cancelling the engine's context (SIGINT/SIGTERM in
 //     cmd/experiments) stops in-flight runs at their next cancellation poll,
 //     leaves the journal flushed, and turns not-yet-started work into
@@ -198,9 +201,9 @@ type call struct {
 	res  *sim.Result
 	err  error
 
-	// Keyed submissions (SubmitKeyed) additionally carry a per-call cancel
-	// and a refcount of live handles, so a run is abandoned only when every
-	// client that asked for it has walked away.
+	// cancel is the per-call cancel and refs the count of live handles, so a
+	// run is abandoned only when every client that asked for it has walked
+	// away.
 	cancel context.CancelFunc
 	refs   int
 }
@@ -252,20 +255,55 @@ func (e *Engine) AttachJournal(j *Journal) {
 	e.mu.Unlock()
 }
 
+// OpenJournal is the one way to give the engine a checkpoint journal at
+// path. With resume set it loads the journal's intact records (through
+// opts.FS) and preloads the memo with them; it then opens the file (resume
+// keeps and tail-repairs it, otherwise it is truncated), records how many
+// corrupt lines the load dropped in the journal's stats, and attaches it.
+// The loaded records are returned (nil without resume) for callers that
+// re-queue pending leases; Stats().Replayed counts what the memo took.
+func (e *Engine) OpenJournal(path string, resume bool, opts JournalOptions) ([]Record, error) {
+	opts = opts.withDefaults()
+	var recs []Record
+	dropped := 0
+	if resume {
+		var err error
+		if recs, dropped, err = LoadJournalFS(opts.FS, path); err != nil {
+			return nil, err
+		}
+		if dropped > 0 {
+			opts.Logf("campaign: journal %s: dropped %d torn/corrupt line(s); the affected runs will re-execute", path, dropped)
+		}
+		e.Preload(recs)
+	}
+	j, err := OpenJournalWith(path, resume, opts)
+	if err != nil {
+		return nil, err
+	}
+	j.replayDropped = dropped
+	e.AttachJournal(j)
+	return recs, nil
+}
+
+// Journal returns the attached journal, nil when there is none.
+func (e *Engine) Journal() *Journal {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.journal
+}
+
 // JournalRecord appends an arbitrary record to the attached journal — the
 // distribution coordinator uses it for StatusLeased write-ahead entries. A
 // no-op (and nil error) when no journal is attached.
 func (e *Engine) JournalRecord(rec Record) error {
-	e.mu.Lock()
-	j := e.journal
-	e.mu.Unlock()
+	j := e.Journal()
 	if j == nil {
 		return nil
 	}
 	return j.Append(rec)
 }
 
-// Preload seeds the memo from journal records (see LoadJournal): completed
+// Preload seeds the memo from journal records (see OpenJournal): completed
 // runs return their journaled result without executing; quarantined failures
 // replay as *ReplayedError. Retryable failures (timeout, deadlock) are NOT
 // preloaded — a resume retries them fresh. Later records win over earlier
@@ -305,51 +343,17 @@ func (e *Engine) Preload(recs []Record) int {
 }
 
 // Run executes (or joins, or replays) the simulation cfg describes and
-// blocks until its terminal outcome. Identical configurations — by
-// fingerprint, across any number of goroutines — execute exactly once.
+// blocks until its terminal outcome: Submit under cfg's fingerprint, then
+// wait. Identical configurations — by fingerprint, across any number of
+// goroutines — execute exactly once. A config that cannot be fingerprinted
+// (an opaque GeneratorFactory or observability sinks; see sim.Config.Cacheable)
+// is rejected: run it with sim.Run, or Submit it under the key of its clean
+// configuration.
 func (e *Engine) Run(cfg sim.Config) (*sim.Result, error) {
 	if !cfg.Cacheable() {
-		// Opaque generator: supervised but never deduplicated or journaled.
-		res, err := e.supervised(e.ctx, e.runFn, cfg)
-		e.account(err)
-		return res, err
+		return nil, errors.New("campaign: config is not cacheable (GeneratorFactory or Obs set); run it with sim.Run or Submit it under an explicit key")
 	}
-	key := cfg.Fingerprint()
-	e.mu.Lock()
-	if c, ok := e.calls[key]; ok {
-		e.stats.Hits++
-		e.mu.Unlock()
-		<-c.done
-		return c.res, c.err
-	}
-	c := &call{done: make(chan struct{})}
-	e.calls[key] = c
-	e.mu.Unlock()
-	return e.execute(e.ctx, e.runFn, cfg, key, c)
-}
-
-// Submit queues cfg for background execution on the worker pool — the
-// prefetch half of the drivers' submit-then-collect pattern. A later Run of
-// the same configuration joins the in-flight (or finished) call. Uncacheable
-// configs are ignored: without a fingerprint there is nothing to join.
-func (e *Engine) Submit(cfg sim.Config) {
-	if !cfg.Cacheable() {
-		return
-	}
-	key := cfg.Fingerprint()
-	e.mu.Lock()
-	if _, ok := e.calls[key]; ok {
-		e.mu.Unlock()
-		return
-	}
-	c := &call{done: make(chan struct{})}
-	e.calls[key] = c
-	e.mu.Unlock()
-	e.wg.Add(1)
-	go func() {
-		defer e.wg.Done()
-		e.execute(e.ctx, e.runFn, cfg, key, c)
-	}()
+	return e.Submit(cfg.Fingerprint(), cfg, nil).Outcome()
 }
 
 // Handle is one client's interest in a (possibly shared) keyed run — the
@@ -394,9 +398,11 @@ func (h *Handle) Cancel() {
 	})
 }
 
-// SubmitKeyed queues cfg for background execution under an explicit memo key
-// and returns a Handle to its outcome. If the key is already in flight or
-// completed, the handle joins it (counted as a memo hit) and run is unused.
+// Submit queues cfg for background execution on the worker pool under an
+// explicit memo key and returns a Handle to its outcome. If the key is
+// already in flight or completed, the handle joins it (counted as a memo
+// hit) and run is unused. It is the engine's one way in: Run is Submit plus
+// Outcome, and the drivers' prefetch is Submit with the handle dropped.
 //
 // The explicit key lets a caller attach non-fingerprintable observers
 // (sim.ObsConfig sinks) while still keying the memo and journal by the clean
@@ -405,7 +411,7 @@ func (h *Handle) Cancel() {
 // see the same outcome. run, when non-nil, replaces the engine's RunFunc for
 // this call only (the serving layer uses this to strip streaming side-
 // channels before the result is journaled).
-func (e *Engine) SubmitKeyed(key string, cfg sim.Config, run RunFunc) *Handle {
+func (e *Engine) Submit(key string, cfg sim.Config, run RunFunc) *Handle {
 	e.mu.Lock()
 	if c, ok := e.calls[key]; ok {
 		e.stats.Hits++
@@ -447,25 +453,25 @@ func (e *Engine) Peek(key string) (res *sim.Result, err error, done bool) {
 }
 
 // execute runs the claimed call to its terminal outcome and publishes it.
-func (e *Engine) execute(ctx context.Context, run RunFunc, cfg sim.Config, key string, c *call) (*sim.Result, error) {
+func (e *Engine) execute(ctx context.Context, run RunFunc, cfg sim.Config, key string, c *call) {
 	res, err := e.supervised(ctx, run, cfg)
 	c.res, c.err = res, err
-	if c.cancel != nil && Classify(err) == VerdictCancelled {
+	if Classify(err) == VerdictCancelled && !e.Interrupted() {
 		// A per-call cancellation must not pin the abandoned verdict: a later
-		// identical submission should execute fresh.
+		// identical submission should execute fresh. A draining campaign
+		// keeps it, so later joins report cancelled at once.
 		e.mu.Lock()
 		if e.calls[key] == c {
 			delete(e.calls, key)
 		}
 		e.mu.Unlock()
 	}
-	// Journal before publishing: a client that observes a terminal state is
-	// guaranteed the verdict is already durably appended (or counted in
-	// JournalErrors), never in flight.
+	// Journal and count before publishing: a client that observes a terminal
+	// state is guaranteed the verdict is already durably appended (or counted
+	// in JournalErrors) and in Stats, never in flight.
 	e.journalOutcome(cfg, key, res, err)
-	close(c.done)
 	e.account(err)
-	return res, err
+	close(c.done)
 }
 
 // supervised applies the worker-pool bound, the per-attempt timeout, panic
@@ -547,9 +553,7 @@ func (e *Engine) account(err error) {
 // Cancelled runs are deliberately not recorded: they carry no verdict, and a
 // resume must re-execute them.
 func (e *Engine) journalOutcome(cfg sim.Config, key string, res *sim.Result, err error) {
-	e.mu.Lock()
-	j := e.journal
-	e.mu.Unlock()
+	j := e.Journal()
 	if j == nil || Classify(err) == VerdictCancelled {
 		return
 	}
@@ -580,7 +584,7 @@ func (e *Engine) Interrupt() { e.cancel() }
 // Interrupted reports whether the campaign is draining.
 func (e *Engine) Interrupted() bool { return e.ctx.Err() != nil }
 
-// Drain blocks until every Submit-ted run has reached a terminal outcome
+// Drain blocks until every submitted run has reached a terminal outcome
 // (normally or via cancellation).
 func (e *Engine) Drain() { e.wg.Wait() }
 

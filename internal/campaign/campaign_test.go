@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -192,9 +193,9 @@ func TestRunTimeoutClassifiedRetryable(t *testing.T) {
 	}
 }
 
-// TestUncacheableBypassesMemo: configs with an opaque GeneratorFactory have
-// no fingerprint and must execute every time, never touching the memo.
-func TestUncacheableBypassesMemo(t *testing.T) {
+// TestRunRejectsUncacheable: a config with an opaque GeneratorFactory has
+// no fingerprint, so Run refuses it without executing or touching the memo.
+func TestRunRejectsUncacheable(t *testing.T) {
 	var calls atomic.Int64
 	eng := New(Policy{Jobs: 1})
 	eng.SetRunFunc(func(ctx context.Context, cfg sim.Config) (*sim.Result, error) {
@@ -205,16 +206,14 @@ func TestUncacheableBypassesMemo(t *testing.T) {
 
 	cfg := cfgN(0)
 	cfg.GeneratorFactory = func(int, workload.Profile, float64) cpu.Generator { return nil }
-	for i := 0; i < 3; i++ {
-		if _, err := eng.Run(cfg); err != nil {
-			t.Fatalf("Run: %v", err)
-		}
+	if res, err := eng.Run(cfg); err == nil || res != nil {
+		t.Fatalf("Run(uncacheable) = (%v, %v), want an error", res, err)
 	}
-	if n := calls.Load(); n != 3 {
-		t.Fatalf("uncacheable config executed %d times, want 3", n)
+	if n := calls.Load(); n != 0 {
+		t.Fatalf("uncacheable config executed %d times, want 0", n)
 	}
-	if s := eng.Stats(); s.Hits != 0 {
-		t.Fatalf("stats = %+v, want zero memo hits", s)
+	if s := eng.Stats(); s != (Stats{}) {
+		t.Fatalf("stats = %+v, want all zero", s)
 	}
 }
 
@@ -222,7 +221,7 @@ func TestUncacheableBypassesMemo(t *testing.T) {
 // torn final line.
 func TestJournalRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "ckpt.jsonl")
-	j, err := OpenJournal(path, false)
+	j, err := OpenJournalWith(path, false, JournalOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,12 +247,12 @@ func TestJournalRoundTrip(t *testing.T) {
 	}
 	f.Close()
 
-	got, err := LoadJournal(path)
+	got, dropped, err := LoadJournalFS(nil, path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != 2 {
-		t.Fatalf("loaded %d records, want 2 (torn tail dropped)", len(got))
+	if len(got) != 2 || dropped != 1 {
+		t.Fatalf("loaded %d records (%d dropped), want 2 (torn tail dropped)", len(got), dropped)
 	}
 	if got[0].Key != "k1" || got[0].Result == nil || got[0].Result.Cycles != 3 {
 		t.Fatalf("record 0 = %+v, want journaled result back", got[0])
@@ -262,8 +261,8 @@ func TestJournalRoundTrip(t *testing.T) {
 		t.Fatalf("record 1 cause = %q, want panic", got[1].Cause)
 	}
 	// A missing journal is an empty resume, not an error.
-	if recs, err := LoadJournal(filepath.Join(t.TempDir(), "absent.jsonl")); err != nil || recs != nil {
-		t.Fatalf("LoadJournal(absent) = (%v, %v), want (nil, nil)", recs, err)
+	if recs, _, err := LoadJournalFS(nil, filepath.Join(t.TempDir(), "absent.jsonl")); err != nil || recs != nil {
+		t.Fatalf("LoadJournalFS(absent) = (%v, %v), want (nil, nil)", recs, err)
 	}
 }
 
@@ -286,11 +285,9 @@ func TestKillAndResume(t *testing.T) {
 		}
 		return okResult(int(cfg.Seed)), nil
 	}))
-	j1, err := OpenJournal(path, false)
-	if err != nil {
+	if _, err := eng1.OpenJournal(path, false, JournalOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	eng1.AttachJournal(j1)
 	for _, cfg := range configs[:3] {
 		eng1.Run(cfg)
 	}
@@ -300,23 +297,18 @@ func TestKillAndResume(t *testing.T) {
 
 	// Phase 2: resume. Journaled outcomes (2 ok + 1 fatal) must replay with
 	// zero re-execution; only the remaining 3 configs run.
-	recs, err := LoadJournal(path)
-	if err != nil {
-		t.Fatal(err)
-	}
 	var execs2 sync.Map
 	eng2 := New(Policy{Jobs: 2})
 	eng2.SetRunFunc(countingRun(&execs2, func(ctx context.Context, cfg sim.Config) (*sim.Result, error) {
 		return okResult(int(cfg.Seed)), nil
 	}))
-	if n := eng2.Preload(recs); n != 3 {
-		t.Fatalf("Preload restored %d runs, want 3", n)
-	}
-	j2, err := OpenJournal(path, true)
+	recs, err := eng2.OpenJournal(path, true, JournalOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng2.AttachJournal(j2)
+	if n := eng2.Stats().Replayed; len(recs) != 3 || n != 3 {
+		t.Fatalf("OpenJournal loaded %d records and restored %d runs, want 3 and 3", len(recs), n)
+	}
 	for i, cfg := range configs {
 		res, err := eng2.Run(cfg)
 		if i == 2 {
@@ -394,14 +386,14 @@ func TestInterruptDrains(t *testing.T) {
 		<-ctx.Done()
 		return nil, ctx.Err()
 	})
-	j, err := OpenJournal(path, false)
+	j, err := OpenJournalWith(path, false, JournalOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	eng.AttachJournal(j)
 
 	for i := 0; i < 4; i++ {
-		eng.Submit(cfgN(i))
+		eng.Submit(cfgN(i).Fingerprint(), cfgN(i), nil)
 	}
 	<-started
 	eng.Interrupt()
@@ -421,7 +413,7 @@ func TestInterruptDrains(t *testing.T) {
 	if err := eng.Close(); err != nil {
 		t.Fatal(err)
 	}
-	recs, err := LoadJournal(path)
+	recs, _, err := LoadJournalFS(nil, path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -434,7 +426,8 @@ func TestInterruptDrains(t *testing.T) {
 }
 
 // TestSubmitThenRunJoins: the drivers' prefetch pattern — Submit the sweep up
-// front, then collect sequentially via Run — executes each config once.
+// front and drop the handles, then collect sequentially via Run — executes
+// each config once, and every collecting Run counts as a memo hit.
 func TestSubmitThenRunJoins(t *testing.T) {
 	var execs sync.Map
 	eng := New(Policy{Jobs: 4})
@@ -444,7 +437,7 @@ func TestSubmitThenRunJoins(t *testing.T) {
 	defer eng.Close()
 
 	for i := 0; i < 8; i++ {
-		eng.Submit(cfgN(i))
+		eng.Submit(cfgN(i).Fingerprint(), cfgN(i), nil)
 	}
 	for i := 0; i < 8; i++ {
 		res, err := eng.Run(cfgN(i))
@@ -457,6 +450,9 @@ func TestSubmitThenRunJoins(t *testing.T) {
 	if total != 8 {
 		t.Fatalf("executed %d runs for 8 configs, want 8", total)
 	}
+	if s := eng.Stats(); s.Hits != 8 {
+		t.Fatalf("stats = %+v, want 8 memo hits", s)
+	}
 }
 
 // TestJournalTornMiddle: a crash mid-append followed by a resumed campaign
@@ -466,7 +462,7 @@ func TestSubmitThenRunJoins(t *testing.T) {
 // clean boundary and the reloaded journal has no corrupt line at all.
 func TestJournalTornMiddle(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "ckpt.jsonl")
-	j, err := OpenJournal(path, false)
+	j, err := OpenJournalWith(path, false, JournalOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -489,7 +485,7 @@ func TestJournalTornMiddle(t *testing.T) {
 
 	// Resume: OpenJournal must repair the tail so the next append starts a
 	// fresh line rather than extending the fragment.
-	j2, err := OpenJournal(path, true)
+	j2, err := OpenJournalWith(path, true, JournalOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -503,7 +499,7 @@ func TestJournalTornMiddle(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	recs, dropped, err := LoadJournalEx(path)
+	recs, dropped, err := LoadJournalFS(nil, path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -522,9 +518,9 @@ func TestJournalTornMiddle(t *testing.T) {
 	}
 }
 
-// TestSubmitKeyedJoins: keyed submissions singleflight on the explicit key,
-// all handles observe the same outcome, and joins are counted as memo hits.
-func TestSubmitKeyedJoins(t *testing.T) {
+// TestSubmitJoins: submissions singleflight on the explicit key, all handles
+// observe the same outcome, and joins are counted as memo hits.
+func TestSubmitJoins(t *testing.T) {
 	var execs atomic.Int64
 	eng := New(Policy{Jobs: 4})
 	eng.SetRunFunc(func(ctx context.Context, cfg sim.Config) (*sim.Result, error) {
@@ -537,7 +533,7 @@ func TestSubmitKeyedJoins(t *testing.T) {
 	const clients = 16
 	handles := make([]*Handle, clients)
 	for i := range handles {
-		handles[i] = eng.SubmitKeyed("job-key", cfgN(0), nil)
+		handles[i] = eng.Submit("job-key", cfgN(0), nil)
 	}
 	joined := 0
 	for i, h := range handles {
@@ -566,10 +562,10 @@ func TestSubmitKeyedJoins(t *testing.T) {
 	}
 }
 
-// TestSubmitKeyedCancel: cancelling every handle abandons the run; the
+// TestSubmitCancel: cancelling every handle abandons the run; the
 // abandoned key is evicted so a fresh submission re-executes. Cancelling only
 // one of two handles must NOT abandon the shared run.
-func TestSubmitKeyedCancel(t *testing.T) {
+func TestSubmitCancel(t *testing.T) {
 	started := make(chan struct{})
 	release := make(chan struct{})
 	var execs atomic.Int64
@@ -587,8 +583,8 @@ func TestSubmitKeyedCancel(t *testing.T) {
 	})
 	defer eng.Close()
 
-	h1 := eng.SubmitKeyed("k", cfgN(0), nil)
-	h2 := eng.SubmitKeyed("k", cfgN(0), nil)
+	h1 := eng.Submit("k", cfgN(0), nil)
+	h2 := eng.Submit("k", cfgN(0), nil)
 	<-started
 
 	h1.Cancel()
@@ -605,7 +601,7 @@ func TestSubmitKeyedCancel(t *testing.T) {
 
 	// The abandoned verdict must not be pinned: a later submission executes.
 	close(release)
-	h3 := eng.SubmitKeyed("k", cfgN(0), nil)
+	h3 := eng.Submit("k", cfgN(0), nil)
 	if h3.Joined {
 		t.Fatal("fresh submission joined the abandoned call")
 	}
@@ -614,5 +610,69 @@ func TestSubmitKeyedCancel(t *testing.T) {
 	}
 	if execs.Load() != 2 {
 		t.Fatalf("executed %d times, want 2 (abandoned + fresh)", execs.Load())
+	}
+}
+
+// TestEngineOpenJournal: a resume loads, preloads and attaches in one call
+// and reports the dropped-line count in the journal's stats; a fresh open
+// truncates and preloads nothing.
+func TestEngineOpenJournal(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "ckpt.jsonl")
+	j, err := OpenJournalWith(path, false, JournalOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Append(Record{Key: cfgN(0).Fingerprint(), Status: StatusOK, Result: okResult(5)}); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteString(`{"key":"torn","status":"o`); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+
+	eng := New(Policy{Jobs: 1})
+	eng.SetRunFunc(func(ctx context.Context, cfg sim.Config) (*sim.Result, error) {
+		t.Error("a journaled config re-executed")
+		return okResult(0), nil
+	})
+	var logged []string
+	recs, err := eng.OpenJournal(path, true, JournalOptions{Logf: func(format string, args ...any) {
+		logged = append(logged, fmt.Sprintf(format, args...))
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != 1 || eng.Stats().Replayed != 1 {
+		t.Fatalf("loaded %d records, replayed %d; want 1 and 1", len(recs), eng.Stats().Replayed)
+	}
+	if res, err := eng.Run(cfgN(0)); err != nil || res.Cycles != 5 {
+		t.Fatalf("Run = (%v, %v), want the journaled result", res, err)
+	}
+	st := eng.Journal().Stats()
+	if st.ReplayDropped != 1 || st.TruncatedBytes == 0 {
+		t.Fatalf("journal stats = %+v, want 1 dropped line and a truncated tail", st)
+	}
+	if len(logged) == 0 || !strings.Contains(logged[0], "dropped 1") {
+		t.Fatalf("logged %q, want the dropped-line count", logged)
+	}
+	if err := eng.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	fresh := New(Policy{Jobs: 1})
+	defer fresh.Close()
+	recs, err = fresh.OpenJournal(path, false, JournalOptions{})
+	if err != nil || recs != nil {
+		t.Fatalf("fresh OpenJournal = (%v, %v), want (nil, nil)", recs, err)
+	}
+	if st := fresh.Journal().Stats(); st.SizeBytes != 0 || st.ReplayDropped != 0 || fresh.Stats().Replayed != 0 {
+		t.Fatalf("fresh journal stats = %+v, engine %+v; want an empty, truncated journal", st, fresh.Stats())
 	}
 }

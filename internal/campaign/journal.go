@@ -189,9 +189,6 @@ type JournalOptions struct {
 	// FS is the filesystem seam (default the real one). Fault-injection
 	// tests substitute a failpoint.FaultFS.
 	FS failpoint.FS
-	// ReplayDropped records how many corrupt lines the startup load dropped,
-	// so Stats can report replay damage alongside live counters.
-	ReplayDropped int
 	// Logf receives operational diagnostics (default: discarded).
 	Logf func(format string, args ...any)
 }
@@ -276,19 +273,18 @@ type Journal struct {
 	syncErrors   uint64
 	compactions  uint64
 	truncated    int64
-	lastSync     time.Time
-	degraded     error
+	// replayDropped is the corrupt-line count of the load that preceded a
+	// resume (set by Engine.OpenJournal), reported alongside live counters.
+	replayDropped int
+	lastSync      time.Time
+	degraded      error
 }
 
-// OpenJournal opens path for appending records with default options. With
-// resume set, existing records are preserved (and should first be read back
-// via LoadJournal); otherwise the file is truncated and the campaign starts
-// fresh.
-func OpenJournal(path string, resume bool) (*Journal, error) {
-	return OpenJournalWith(path, resume, JournalOptions{})
-}
-
-// OpenJournalWith opens path with explicit durability options.
+// OpenJournalWith opens path for appending records with explicit durability
+// options. With resume set, existing records are preserved and a torn tail
+// is repaired; otherwise the file is truncated and the campaign starts
+// fresh. Engine.OpenJournal wraps it with the load and preload a resume
+// needs.
 func OpenJournalWith(path string, resume bool, opts JournalOptions) (*Journal, error) {
 	opts = opts.withDefaults()
 	// O_APPEND always: the torn-write repair truncates the file and retries,
@@ -424,26 +420,17 @@ func encodeLine(rec Record) ([]byte, error) {
 	return line, nil
 }
 
-// LoadJournal reads every intact record from a previous campaign's journal.
-// Torn or corrupt lines — the usual artefact of a killed process — are
-// skipped, not fatal: every other record still replays. A missing file is an
-// empty journal, not an error, so -resume works on the very first run.
-// Callers that want to report the dropped tail use LoadJournalEx.
-func LoadJournal(path string) ([]Record, error) {
-	recs, _, err := LoadJournalEx(path)
-	return recs, err
-}
-
-// LoadJournalEx is LoadJournal plus a count of dropped (undecodable or
-// checksum-failing) lines, so drivers can log how much of the checkpoint was
-// lost to a torn write. Decoding is line by line, so corruption — even in
-// the middle of the file — is confined to the damaged line itself.
-func LoadJournalEx(path string) ([]Record, int, error) {
-	return LoadJournalFS(failpoint.OSFS{}, path)
-}
-
-// LoadJournalFS is LoadJournalEx through an explicit filesystem seam.
+// LoadJournalFS reads every intact record from a previous campaign's journal
+// through fsys (nil means the real filesystem) and counts the dropped
+// (undecodable or checksum-failing) lines. Torn or corrupt lines — the usual
+// artefact of a killed process — are skipped, not fatal: decoding is line by
+// line, so corruption, even in the middle of the file, is confined to the
+// damaged line and every other record still replays. A missing file is an
+// empty journal, not an error, so a resume works on the very first run.
 func LoadJournalFS(fsys failpoint.FS, path string) ([]Record, int, error) {
+	if fsys == nil {
+		fsys = failpoint.OSFS{}
+	}
 	f, err := fsys.Open(path)
 	if err != nil {
 		if errors.Is(err, os.ErrNotExist) {
@@ -689,7 +676,7 @@ func (j *Journal) Stats() JournalStats {
 		Compactions:    j.compactions,
 		SizeBytes:      j.size,
 		LastSyncAge:    -1,
-		ReplayDropped:  j.opts.ReplayDropped,
+		ReplayDropped:  j.replayDropped,
 		TruncatedBytes: j.truncated,
 		SyncPolicy:     j.opts.Sync.String(),
 	}

@@ -23,7 +23,7 @@ func TestJournalLegacyLinesLoad(t *testing.T) {
 	if err := os.WriteFile(path, []byte(legacy), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	recs, dropped, err := LoadJournalEx(path)
+	recs, dropped, err := LoadJournalFS(nil, path)
 	if err != nil || dropped != 0 || len(recs) != 2 {
 		t.Fatalf("legacy load = (%d recs, %d dropped, %v), want (2, 0, nil)", len(recs), dropped, err)
 	}
@@ -33,7 +33,7 @@ func TestJournalLegacyLinesLoad(t *testing.T) {
 	}
 
 	// A resumed journal appends CRC lines after the legacy ones; both load.
-	j, err := OpenJournal(path, true)
+	j, err := OpenJournalWith(path, true, JournalOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +43,7 @@ func TestJournalLegacyLinesLoad(t *testing.T) {
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
-	recs, dropped, err = LoadJournalEx(path)
+	recs, dropped, err = LoadJournalFS(nil, path)
 	if err != nil || dropped != 0 || len(recs) != 3 || recs[2].Key != "k3" {
 		t.Fatalf("mixed-format load = (%d recs, %d dropped, %v), want all 3", len(recs), dropped, err)
 	}
@@ -53,7 +53,7 @@ func TestJournalLegacyLinesLoad(t *testing.T) {
 // drops exactly that record at replay instead of replaying garbage.
 func TestJournalCRCRejectsBitFlip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "crc.jsonl")
-	j, err := OpenJournal(path, false)
+	j, err := OpenJournalWith(path, false, JournalOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func TestJournalCRCRejectsBitFlip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	recs, dropped, err := LoadJournalEx(path)
+	recs, dropped, err := LoadJournalFS(nil, path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +96,7 @@ func TestJournalCRCRejectsBitFlip(t *testing.T) {
 // newline must not cost the record — open-time repair re-terminates it.
 func TestJournalTornNewlineReterminated(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "nl.jsonl")
-	j, err := OpenJournal(path, false)
+	j, err := OpenJournalWith(path, false, JournalOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func TestJournalTornNewlineReterminated(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	j2, err := OpenJournal(path, true)
+	j2, err := OpenJournalWith(path, true, JournalOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +124,7 @@ func TestJournalTornNewlineReterminated(t *testing.T) {
 	if err := j2.Close(); err != nil {
 		t.Fatal(err)
 	}
-	recs, dropped, err := LoadJournalEx(path)
+	recs, dropped, err := LoadJournalFS(nil, path)
 	if err != nil || dropped != 0 || len(recs) != 2 || recs[0].Key != "k1" || recs[1].Key != "k2" {
 		t.Fatalf("load = (%d recs, %d dropped, %v), want both records intact", len(recs), dropped, err)
 	}
@@ -162,7 +162,7 @@ func TestJournalShortWriteRepairedAndRetried(t *testing.T) {
 	}
 	j.Close()
 
-	recs, dropped, err := LoadJournalEx(path)
+	recs, dropped, err := LoadJournalFS(nil, path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +209,7 @@ func TestJournalENOSPCDegrades(t *testing.T) {
 	}
 	j.Close()
 
-	recs, dropped, err := LoadJournalEx(path)
+	recs, dropped, err := LoadJournalFS(nil, path)
 	if err != nil || dropped != 0 || len(recs) != 2 {
 		t.Fatalf("replay = (%d recs, %d dropped, %v), want the 2 pre-cliff records", len(recs), dropped, err)
 	}
@@ -267,7 +267,7 @@ func TestJournalCompactionBoundsReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	recs, dropped, err := LoadJournalEx(path)
+	recs, dropped, err := LoadJournalFS(nil, path)
 	if err != nil || dropped != 0 {
 		t.Fatalf("replay = (%v, %d dropped), want clean", err, dropped)
 	}
@@ -354,7 +354,7 @@ func TestJournalSyncPolicies(t *testing.T) {
 			if err := j.Close(); err != nil {
 				t.Fatal(err)
 			}
-			if recs, _, _ := LoadJournalEx(path); len(recs) != 1 {
+			if recs, _, _ := LoadJournalFS(nil, path); len(recs) != 1 {
 				t.Fatalf("replay = %d records, want 1", len(recs))
 			}
 		})
@@ -378,7 +378,7 @@ func FuzzJournalReplay(f *testing.F) {
 	seedDir := f.TempDir()
 	mk := func(name string, write func(j *Journal)) []byte {
 		path := filepath.Join(seedDir, name)
-		j, err := OpenJournal(path, false)
+		j, err := OpenJournalWith(path, false, JournalOptions{})
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -407,7 +407,7 @@ func FuzzJournalReplay(f *testing.F) {
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Skip()
 		}
-		before, _, err := LoadJournalEx(path)
+		before, _, err := LoadJournalFS(nil, path)
 		if err != nil {
 			return // scanner-level error (e.g. oversized line): nothing to invariant-check
 		}
@@ -418,7 +418,7 @@ func FuzzJournalReplay(f *testing.F) {
 			}
 		}
 
-		j, err := OpenJournal(path, true)
+		j, err := OpenJournalWith(path, true, JournalOptions{})
 		if err != nil {
 			t.Fatalf("repair-open failed on loadable input: %v", err)
 		}
@@ -429,7 +429,7 @@ func FuzzJournalReplay(f *testing.F) {
 			t.Fatalf("close: %v", err)
 		}
 
-		after, _, err := LoadJournalEx(path)
+		after, _, err := LoadJournalFS(nil, path)
 		if err != nil {
 			t.Fatalf("replay after repair: %v", err)
 		}

@@ -108,7 +108,7 @@ func TestChaosKillWorkerMidJob(t *testing.T) {
 	stopProc(t, coord)
 	var leaseEpochs []uint64
 	terminal := 0
-	recs, dropped, err := campaign.LoadJournalEx(journal)
+	recs, dropped, err := campaign.LoadJournalFS(nil, journal)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -43,7 +43,7 @@ type AblationPoint struct {
 // sweep runs one configuration mutation per label and normalizes to the
 // first point. The configuration fingerprint covers every knob the mutations
 // touch, so no key mangling is needed to keep the points distinct.
-func (r *Runner) sweep(labels []string, mutate func(cfg *sim.Config, i int)) ([]AblationPoint, error) {
+func (r *Runner) sweep(labels []string, mutate func(cfg *sim.Config, i int)) []AblationPoint {
 	point := func(i int, prof workload.Profile) sim.Config {
 		cfg := sim.Config{Scheme: sim.SchemeSTT4TSBWB, Assignment: workload.Homogeneous(prof)}
 		mutate(&cfg, i)
@@ -80,7 +80,7 @@ func (r *Runner) sweep(labels []string, mutate func(cfg *sim.Config, i int)) ([]
 				points[i].Failed = points[0].Failed
 			}
 		}
-		return points, nil
+		return points
 	}
 	base := points[0].Perf
 	for i := range points {
@@ -88,11 +88,11 @@ func (r *Runner) sweep(labels []string, mutate func(cfg *sim.Config, i int)) ([]
 			points[i].Normalized = points[i].Perf / base
 		}
 	}
-	return points, nil
+	return points
 }
 
 // AblationWBWindow sweeps the window-based estimator's tagging period N.
-func AblationWBWindow(r *Runner) ([]AblationPoint, error) {
+func AblationWBWindow(r *Runner) []AblationPoint {
 	windows := []int{10, 50, 100, 400, 1600}
 	labels := make([]string, len(windows))
 	for i, n := range windows {
@@ -103,7 +103,7 @@ func AblationWBWindow(r *Runner) ([]AblationPoint, error) {
 
 // AblationHoldCap sweeps the arbiter's hard-hold window (our implementation
 // choice; -1 disables holds so delayed requests are only demoted).
-func AblationHoldCap(r *Runner) ([]AblationPoint, error) {
+func AblationHoldCap(r *Runner) []AblationPoint {
 	caps := []int{-1, 12, 40, 120}
 	labels := []string{"demote-only", "hold<=12", "hold<=40", "hold<=120"}
 	return r.sweep(labels, func(cfg *sim.Config, i int) { cfg.HoldCap = caps[i] })
@@ -113,7 +113,7 @@ func AblationHoldCap(r *Runner) ([]AblationPoint, error) {
 // interfaces absorb write trains at the endpoint (hiding them from the
 // network and from the re-ordering scheme), shallower ones push the queueing
 // into the routers.
-func AblationBankQueue(r *Runner) ([]AblationPoint, error) {
+func AblationBankQueue(r *Runner) []AblationPoint {
 	depths := []int{1, 2, 4, 8}
 	labels := make([]string, len(depths))
 	for i, d := range depths {
@@ -138,7 +138,7 @@ type WriteLatencyPoint struct {
 // cycles) through STT-RAM (33) to PCRAM-like (150), measuring the benefit of
 // bank-aware arbitration at each point. Section 3.1 predicts ~no benefit at
 // SRAM speeds and growing benefit as writes lengthen.
-func AblationWriteLatency(r *Runner) ([]WriteLatencyPoint, error) {
+func AblationWriteLatency(r *Runner) []WriteLatencyPoint {
 	sweep := []uint64{3, 9, 33, 65, 150}
 	if r.opts.Quick {
 		sweep = []uint64{3, 33, 150}
@@ -189,7 +189,7 @@ func AblationWriteLatency(r *Runner) ([]WriteLatencyPoint, error) {
 		}
 		out = append(out, pt)
 	}
-	return out, nil
+	return out
 }
 
 // PrintAblation renders a generic sweep.

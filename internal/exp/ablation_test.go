@@ -7,10 +7,7 @@ import (
 
 func TestAblationWBWindow(t *testing.T) {
 	r := tinyRunner(t)
-	pts, err := AblationWBWindow(r)
-	if err != nil {
-		t.Fatal(err)
-	}
+	pts := AblationWBWindow(r)
 	if len(pts) != 5 {
 		t.Fatalf("points = %d, want 5", len(pts))
 	}
@@ -36,10 +33,7 @@ func TestAblationWBWindow(t *testing.T) {
 
 func TestAblationHoldCap(t *testing.T) {
 	r := tinyRunner(t)
-	pts, err := AblationHoldCap(r)
-	if err != nil {
-		t.Fatal(err)
-	}
+	pts := AblationHoldCap(r)
 	if len(pts) != 4 || pts[0].Label != "demote-only" {
 		t.Fatalf("unexpected sweep: %+v", pts)
 	}
@@ -52,10 +46,7 @@ func TestAblationHoldCap(t *testing.T) {
 
 func TestAblationBankQueue(t *testing.T) {
 	r := tinyRunner(t)
-	pts, err := AblationBankQueue(r)
-	if err != nil {
-		t.Fatal(err)
-	}
+	pts := AblationBankQueue(r)
 	if len(pts) != 4 {
 		t.Fatalf("points = %d, want 4", len(pts))
 	}
@@ -68,10 +59,7 @@ func TestAblationBankQueue(t *testing.T) {
 
 func TestAblationWriteLatencyInflection(t *testing.T) {
 	r := tinyRunner(t)
-	pts, err := AblationWriteLatency(r)
-	if err != nil {
-		t.Fatal(err)
-	}
+	pts := AblationWriteLatency(r)
 	if len(pts) != 3 { // quick mode
 		t.Fatalf("points = %d, want 3", len(pts))
 	}
@@ -102,10 +90,7 @@ func TestAblationWriteLatencyInflection(t *testing.T) {
 
 func TestExtensions(t *testing.T) {
 	r := tinyRunner(t)
-	entries, err := Extensions(r)
-	if err != nil {
-		t.Fatal(err)
-	}
+	entries := Extensions(r)
 	if len(entries) == 0 {
 		t.Fatal("no extension entries")
 	}

@@ -1,8 +1,10 @@
 // Package exp contains one driver per table/figure of the paper's
 // evaluation (Section 4). Each driver runs the required simulations through
 // a memoizing Runner, returns a structured result, and can render itself in
-// the same rows/series layout the paper reports. EXPERIMENTS.md is generated
-// from these drivers.
+// the same rows/series layout the paper reports. Experiments pairs every
+// driver with its printer under the name cmd/experiments selects it by.
+// EXPERIMENTS.md is copied by hand from this package's output, not
+// generated from it.
 package exp
 
 import (
@@ -31,6 +33,60 @@ type Options struct {
 	// MeshX/MeshY/Layers override the network shape (all zero keeps the
 	// paper's 8x8x2).
 	MeshX, MeshY, Layers int
+}
+
+// Experiment is one table or figure of the evaluation: the name
+// cmd/experiments selects it by, the title heading its output, and Run,
+// which executes the driver on r and renders its result to w. Run failures
+// render as FAILED(<cause>) cells; a driver never aborts.
+type Experiment struct {
+	Name, Title string
+	Run         func(r *Runner, w io.Writer)
+}
+
+// Experiments is the evaluation in the order `experiments -exp all` runs it.
+var Experiments = []Experiment{
+	{"table2", "Table 2: SRAM vs STT-RAM bank parameters (32nm, 3GHz)",
+		func(_ *Runner, w io.Writer) { Table2(w) }},
+	{"table3", "Table 3: benchmark characterization, measured vs paper",
+		func(r *Runner, w io.Writer) { PrintTable3(w, Table3(r)) }},
+	{"fig3", "Figure 3: accesses following a write to the same bank (STT-RAM baseline)",
+		func(r *Runner, w io.Writer) { PrintFigure3(w, Figure3(r)) }},
+	{"fig6", "Figure 6: system throughput of the six schemes",
+		func(r *Runner, w io.Writer) { PrintFigure6(w, Figure6(r)) }},
+	{"fig7", "Figure 7: packet latency breakdown (network vs bank queuing)",
+		func(r *Runner, w io.Writer) { PrintFigure7(w, Figure7(r)) }},
+	{"fig8", "Figure 8: un-core energy normalized to SRAM-64TSB",
+		func(r *Runner, w io.Writer) { PrintFigure8(w, Figure8(r)) }},
+	{"fig9", "Figure 9: weighted speedup and instruction throughput (Cases 1-3)",
+		func(r *Runner, w io.Writer) { PrintFigure9(w, Figure9(r)) }},
+	{"fig10", "Figure 10: maximum slowdown in Case-2 (fairness)",
+		func(r *Runner, w io.Writer) { PrintFigure10(w, Figure10(r)) }},
+	{"fig12", "Figure 12: sensitivity to TSB placement and region count (WB scheme)",
+		func(r *Runner, w io.Writer) { PrintFigure12(w, Figure12(r)) }},
+	{"fig13", "Figure 13: sensitivity to parent-child hop distance",
+		func(r *Runner, w io.Writer) { PrintFigure13(w, Figure13(r)) }},
+	{"fig14", "Figure 14: comparison with the read-preemptive write buffer (BUFF-20)",
+		func(r *Runner, w io.Writer) { PrintFigure14(w, Figure14(r)) }},
+	{"extensions", "Extensions: early write termination (Zhou et al.) and hybrid SRAM/STT-RAM banks",
+		func(r *Runner, w io.Writer) { PrintExtensions(w, Extensions(r)) }},
+	{"resilience", "Resilience: degradation under stochastic write errors and TSB failures (tpcc)",
+		func(r *Runner, w io.Writer) { PrintResilience(w, Resilience(r, workload.MustByName("tpcc"))) }},
+	{"ablations", "Ablations: write-latency inflection, WB window, hold cap, interface depth",
+		func(r *Runner, w io.Writer) {
+			PrintWriteLatency(w, AblationWriteLatency(r))
+			for _, a := range []struct {
+				title string
+				run   func(*Runner) []AblationPoint
+			}{
+				{"WB tagging window (Section 3.5: N=100)", AblationWBWindow},
+				{"arbiter hard-hold window", AblationHoldCap},
+				{"module-interface queue depth", AblationBankQueue},
+			} {
+				fmt.Fprintln(w)
+				PrintAblation(w, a.title, a.run(r))
+			}
+		}},
 }
 
 // quickSet is the representative subset used with Options.Quick: the paper's
@@ -105,14 +161,15 @@ func (r *Runner) Run(cfg sim.Config) (*sim.Result, error) {
 	return r.eng.Run(r.resolve(cfg))
 }
 
-// Prefetch queues configurations on the engine's worker pool without
-// waiting. Drivers submit their full sweep up front, then keep their
+// Prefetch submits configurations to the engine's worker pool and drops
+// the handles. Drivers submit their full sweep up front, then keep their
 // sequential collection loops: with -jobs N the runs execute N-wide in the
 // background while the loop joins them in deterministic order, so rendered
 // output is byte-identical to a sequential campaign.
 func (r *Runner) Prefetch(cfgs ...sim.Config) {
 	for _, cfg := range cfgs {
-		r.eng.Submit(r.resolve(cfg))
+		cfg = r.resolve(cfg)
+		r.eng.Submit(cfg.Fingerprint(), cfg, nil)
 	}
 }
 
@@ -196,9 +253,6 @@ func f2(v float64) string { return fmt.Sprintf("%.2f", v) }
 
 // f3 formats a float with three decimals.
 func f3(v float64) string { return fmt.Sprintf("%.3f", v) }
-
-// sortStrings sorts in place (alias so drivers don't re-import sort).
-func sortStrings(s []string) { sort.Strings(s) }
 
 // sortedNames returns map keys in sorted order.
 func sortedNames[V any](m map[string]V) []string {

@@ -53,6 +53,29 @@ func TestRunnerMemoizes(t *testing.T) {
 	}
 }
 
+// TestExperimentTable pins the experiment table cmd/experiments and the
+// root benchmarks iterate: unique names in the order `-exp all` has always
+// run them (stdout of a whole campaign depends on it), each with a title.
+func TestExperimentTable(t *testing.T) {
+	want := []string{"table2", "table3", "fig3", "fig6", "fig7", "fig8", "fig9", "fig10",
+		"fig12", "fig13", "fig14", "extensions", "resilience", "ablations"}
+	var got []string
+	seen := make(map[string]bool)
+	for _, e := range Experiments {
+		if seen[e.Name] {
+			t.Errorf("experiment %q listed twice", e.Name)
+		}
+		seen[e.Name] = true
+		if strings.TrimSpace(e.Title) == "" || e.Run == nil {
+			t.Errorf("experiment %q has no title or no driver", e.Name)
+		}
+		got = append(got, e.Name)
+	}
+	if strings.Join(got, ",") != strings.Join(want, ",") {
+		t.Fatalf("experiment order = %v, want %v", got, want)
+	}
+}
+
 func TestPerfMetricSelection(t *testing.T) {
 	res := &sim.Result{IPC: []float64{1, 2}, InstructionThroughput: 3, MinIPC: 1}
 	if got := PerfMetric(workload.MustByName("mcf"), res); got != 3 {
@@ -88,10 +111,7 @@ func TestTable2Renders(t *testing.T) {
 
 func TestTable3MeasuresRates(t *testing.T) {
 	r := tinyRunner(t)
-	rows, err := Table3(r)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := Table3(r)
 	if len(rows) != len(quickSet) {
 		t.Fatalf("rows = %d, want %d", len(rows), len(quickSet))
 	}
@@ -116,10 +136,7 @@ func TestTable3MeasuresRates(t *testing.T) {
 
 func TestFigure3Histogram(t *testing.T) {
 	r := tinyRunner(t)
-	entries, err := Figure3(r)
-	if err != nil {
-		t.Fatal(err)
-	}
+	entries := Figure3(r)
 	for _, e := range entries {
 		var sum float64
 		for _, p := range e.BinPct {
@@ -138,10 +155,7 @@ func TestFigure3Histogram(t *testing.T) {
 
 func TestFigure6ShapeHolds(t *testing.T) {
 	r := tinyRunner(t)
-	res, err := Figure6(r)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := Figure6(r)
 	if len(res.Entries) != len(quickSet) {
 		t.Fatalf("entries = %d", len(res.Entries))
 	}
@@ -168,10 +182,7 @@ func TestFigure6ShapeHolds(t *testing.T) {
 
 func TestFigure7Breakdown(t *testing.T) {
 	r := tinyRunner(t)
-	entries, err := Figure7(r)
-	if err != nil {
-		t.Fatal(err)
-	}
+	entries := Figure7(r)
 	if len(entries) != len(Fig7Apps) {
 		t.Fatalf("entries = %d, want %d", len(entries), len(Fig7Apps))
 	}
@@ -193,10 +204,7 @@ func TestFigure7Breakdown(t *testing.T) {
 
 func TestFigure8EnergySavings(t *testing.T) {
 	r := tinyRunner(t)
-	entries, err := Figure8(r)
-	if err != nil {
-		t.Fatal(err)
-	}
+	entries := Figure8(r)
 	for _, e := range entries {
 		if e.Normalized[sim.SchemeSRAM64TSB] != 1 {
 			t.Errorf("%s: baseline not 1", e.Profile.Name)
@@ -217,10 +225,7 @@ func TestFigure8EnergySavings(t *testing.T) {
 
 func TestFigure12GeometrySweep(t *testing.T) {
 	r := tinyRunner(t)
-	points, err := Figure12(r)
-	if err != nil {
-		t.Fatal(err)
-	}
+	points := Figure12(r)
 	if len(points) != 6 {
 		t.Fatalf("points = %d, want 6", len(points))
 	}
@@ -237,10 +242,7 @@ func TestFigure12GeometrySweep(t *testing.T) {
 
 func TestFigure13HopSweep(t *testing.T) {
 	r := tinyRunner(t)
-	res, err := Figure13(r)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := Figure13(r)
 	// All three hop distances must be measured on every app.
 	for h := 1; h <= 3; h++ {
 		if res.Reqs[h] <= 0 {
@@ -259,10 +261,7 @@ func TestFigure13HopSweep(t *testing.T) {
 
 func TestFigure14Comparison(t *testing.T) {
 	r := tinyRunner(t)
-	entries, err := Figure14(r)
-	if err != nil {
-		t.Fatal(err)
-	}
+	entries := Figure14(r)
 	if entries[0].Bench != "AVG-8" {
 		t.Fatalf("first row should be the average, got %s", entries[0].Bench)
 	}
@@ -315,10 +314,7 @@ func TestRunnerKeyCoversAllConfigKnobs(t *testing.T) {
 
 func TestResilienceSweep(t *testing.T) {
 	r := tinyRunner(t)
-	entries, err := Resilience(r, "tpcc")
-	if err != nil {
-		t.Fatal(err)
-	}
+	entries := Resilience(r, workload.MustByName("tpcc"))
 	// Quick mode: per scheme, one fault-free baseline + one rate + one kill.
 	want := 3 * len(sim.AllSchemes())
 	if len(entries) != want {

@@ -50,7 +50,7 @@ func extConfig(d ExtDesign, prof workload.Profile) sim.Config {
 }
 
 // Extensions measures the extension designs on the write-sensitive apps.
-func Extensions(r *Runner) ([]ExtEntry, error) {
+func Extensions(r *Runner) []ExtEntry {
 	designs := extDesigns()
 	for _, name := range r.ablationApps() {
 		for _, d := range designs {
@@ -88,7 +88,7 @@ func Extensions(r *Runner) ([]ExtEntry, error) {
 		}
 		out = append(out, e)
 	}
-	return out, nil
+	return out
 }
 
 // PrintExtensions renders the comparison.

@@ -29,7 +29,7 @@ type Fig3Entry struct {
 }
 
 // Figure3 characterizes the access gaps on the STT-RAM baseline.
-func Figure3(r *Runner) ([]Fig3Entry, error) {
+func Figure3(r *Runner) []Fig3Entry {
 	for _, prof := range r.Options().benchmarks() {
 		r.Prefetch(SchemeConfig(sim.SchemeSTT64TSB, prof))
 	}
@@ -46,7 +46,7 @@ func Figure3(r *Runner) ([]Fig3Entry, error) {
 			TwoHopReqs: res.HopReqs[2],
 		})
 	}
-	return out, nil
+	return out
 }
 
 // PrintFigure3 renders the histogram rows. Failed runs render as failure
@@ -140,7 +140,7 @@ func (f *Fig6Result) SuiteAverage(suite workload.Suite, all bool) [sim.NumScheme
 
 // Figure6 runs every benchmark under all six schemes. Individual run
 // failures become failure cells; the campaign continues.
-func Figure6(r *Runner) (*Fig6Result, error) {
+func Figure6(r *Runner) *Fig6Result {
 	profs := r.Options().benchmarks()
 	for _, prof := range profs {
 		for _, s := range sim.AllSchemes() {
@@ -172,7 +172,7 @@ func Figure6(r *Runner) (*Fig6Result, error) {
 		}
 		out.Entries = append(out.Entries, e)
 	}
-	return out, nil
+	return out
 }
 
 // PrintFigure6 renders per-suite blocks in the paper's layout.
@@ -240,7 +240,7 @@ type Fig7Entry struct {
 }
 
 // Figure7 measures the latency split.
-func Figure7(r *Runner) ([]Fig7Entry, error) {
+func Figure7(r *Runner) []Fig7Entry {
 	for _, name := range Fig7Apps {
 		for _, s := range sim.AllSchemes() {
 			r.Prefetch(SchemeConfig(s, workload.MustByName(name)))
@@ -261,7 +261,7 @@ func Figure7(r *Runner) ([]Fig7Entry, error) {
 		}
 		out = append(out, e)
 	}
-	return out, nil
+	return out
 }
 
 // PrintFigure7 renders the breakdown, normalized to SRAM-64TSB as in the
@@ -326,7 +326,7 @@ type Fig8Entry struct {
 }
 
 // Figure8 measures un-core energy per scheme.
-func Figure8(r *Runner) ([]Fig8Entry, error) {
+func Figure8(r *Runner) []Fig8Entry {
 	for _, prof := range r.Options().benchmarks() {
 		for _, s := range Fig8Schemes {
 			r.Prefetch(SchemeConfig(s, prof))
@@ -357,7 +357,7 @@ func Figure8(r *Runner) ([]Fig8Entry, error) {
 		}
 		out = append(out, e)
 	}
-	return out, nil
+	return out
 }
 
 // PrintFigure8 renders normalized energies with the all-benchmark average.
@@ -440,7 +440,7 @@ func (r *Runner) prefetchCase(a workload.Assignment, s sim.Scheme) {
 // Figure9 runs Case-1, Case-2 and the 32-mix aggregate (Case-3). A failure
 // in any run of a (case, scheme) pair marks that cell failed; the other
 // schemes and cases still report.
-func Figure9(r *Runner) ([]Fig9Case, error) {
+func Figure9(r *Runner) []Fig9Case {
 	mixCount := 32
 	if r.Options().Quick {
 		mixCount = 4
@@ -502,7 +502,7 @@ func Figure9(r *Runner) ([]Fig9Case, error) {
 		}
 		out = append(out, fc)
 	}
-	return out, nil
+	return out
 }
 
 // numberMixes gives each mix a unique name so run memoization never
@@ -545,7 +545,7 @@ type Fig10Entry struct {
 }
 
 // Figure10 measures per-application fairness in the Case-2 mix.
-func Figure10(r *Runner) ([]Fig10Entry, error) {
+func Figure10(r *Runner) []Fig10Entry {
 	mix := workload.Case2()
 	schemes := []sim.Scheme{sim.SchemeSTT64TSB, sim.SchemeSTT4TSBWB}
 	for _, s := range schemes {
@@ -582,7 +582,7 @@ func Figure10(r *Runner) ([]Fig10Entry, error) {
 		v := slow[name]
 		out = append(out, Fig10Entry{Bench: name, STT64TSB: v[0], WBScheme: v[1], Failed: colFailed})
 	}
-	return out, nil
+	return out
 }
 
 // PrintFigure10 renders the fairness comparison.

@@ -61,11 +61,7 @@ var resilienceRates = []float64{1e-4, 1e-3, 1e-2}
 // Resilience sweeps write-error rate and TSB-failure count for every scheme
 // on one benchmark. With Options.Quick the sweep keeps one rate and one kill
 // count per scheme.
-func Resilience(r *Runner, bench string) ([]ResilienceEntry, error) {
-	prof, err := workload.ByName(bench)
-	if err != nil {
-		return nil, err
-	}
+func Resilience(r *Runner, prof workload.Profile) []ResilienceEntry {
 	rates := resilienceRates
 	kills := []int{1, 2, 3}
 	if r.opts.Quick {
@@ -99,7 +95,7 @@ func Resilience(r *Runner, bench string) ([]ResilienceEntry, error) {
 			out = append(out, e)
 		}
 	}
-	return out, nil
+	return out
 }
 
 // normalizeTo fills the entry's Normalized field against the fault-free run.

@@ -3,6 +3,7 @@ package exp
 import (
 	"fmt"
 	"io"
+	"sort"
 
 	"sttsim/internal/core"
 	"sttsim/internal/sim"
@@ -34,7 +35,7 @@ func fig12Config(prof workload.Profile, regions int, placement core.Placement) s
 }
 
 // Figure12 sweeps 4/8/16 regions x corner/stagger.
-func Figure12(r *Runner) ([]Fig12Point, error) {
+func Figure12(r *Runner) []Fig12Point {
 	benches := r.Options().benchmarks()
 	sweep := []struct {
 		regions   int
@@ -80,7 +81,7 @@ func Figure12(r *Runner) ([]Fig12Point, error) {
 		}
 		out = append(out, p)
 	}
-	return out, nil
+	return out
 }
 
 // PrintFigure12 renders the sweep.
@@ -125,7 +126,7 @@ type Fig13Result struct {
 }
 
 // Figure13 sweeps the re-ordering distance H = 1..3.
-func Figure13(r *Runner) (*Fig13Result, error) {
+func Figure13(r *Runner) *Fig13Result {
 	apps := Fig13Apps
 	if r.Options().Quick {
 		apps = apps[:6]
@@ -201,7 +202,7 @@ func Figure13(r *Runner) (*Fig13Result, error) {
 		}
 		out.Improvement[h] = (ratio/float64(ok) - 1) * 100
 	}
-	return out, nil
+	return out
 }
 
 // PrintFigure13 renders both panels.
@@ -211,7 +212,7 @@ func PrintFigure13(w io.Writer, f *Fig13Result) {
 	for name := range f.FailedApp {
 		names = append(names, name)
 	}
-	sortStrings(names)
+	sort.Strings(names)
 	for _, name := range names {
 		if cell, bad := f.FailedApp[name]; bad {
 			t.add(name, cell, cell, cell)
@@ -291,7 +292,7 @@ type Fig14Entry struct {
 // Figure14 compares the network scheme against write buffering. Benchmarks
 // with any failed design drop out of the average (so every design averages
 // over the same set); the per-app rows mark the failed cells.
-func Figure14(r *Runner) ([]Fig14Entry, error) {
+func Figure14(r *Runner) []Fig14Entry {
 	benches := r.Options().benchmarks()
 	for _, prof := range benches {
 		for d := Fig14Design(0); d < numFig14Designs; d++ {
@@ -362,7 +363,7 @@ func Figure14(r *Runner) ([]Fig14Entry, error) {
 		}
 		entries = append(entries, e)
 	}
-	return entries, nil
+	return entries
 }
 
 // PrintFigure14 renders the normalized un-core latencies.

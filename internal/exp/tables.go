@@ -41,7 +41,7 @@ type Table3Row struct {
 
 // Table3 re-derives the benchmark characterization from our synthetic
 // streams, validating the workload generator against the paper's Table 3.
-func Table3(r *Runner) ([]Table3Row, error) {
+func Table3(r *Runner) []Table3Row {
 	for _, prof := range r.Options().benchmarks() {
 		r.Prefetch(SchemeConfig(sim.SchemeSTT64TSB, prof))
 	}
@@ -74,7 +74,7 @@ func Table3(r *Runner) ([]Table3Row, error) {
 			ShadowPct: res.GapHist.Percent(0) + res.GapHist.Percent(1),
 		})
 	}
-	return rows, nil
+	return rows
 }
 
 // PrintTable3 renders measured-vs-paper columns.

@@ -90,21 +90,12 @@ func (x *Explorer) Run(ctx context.Context) (*Report, error) {
 	eng := campaign.NewWithContext(ctx, x.Policy)
 	defer eng.Close()
 	if x.JournalPath != "" {
-		if x.Resume {
-			recs, dropped, err := campaign.LoadJournalEx(x.JournalPath)
-			if err != nil {
-				return nil, err
-			}
-			if n := eng.Preload(recs); n > 0 || dropped > 0 {
-				logf("explore: resumed %d finished evaluation(s) from %s (%d corrupt line(s) dropped)",
-					n, x.JournalPath, dropped)
-			}
-		}
-		j, err := campaign.OpenJournal(x.JournalPath, x.Resume)
-		if err != nil {
+		if _, err := eng.OpenJournal(x.JournalPath, x.Resume, campaign.JournalOptions{Logf: logf}); err != nil {
 			return nil, err
 		}
-		eng.AttachJournal(j)
+		if n := eng.Stats().Replayed; n > 0 {
+			logf("explore: resumed %d finished evaluation(s) from %s", n, x.JournalPath)
+		}
 	}
 
 	rep := &Report{Strategy: x.Strategy.Name(), SpaceSize: x.Space.Size()}
@@ -134,7 +125,7 @@ func (x *Explorer) Run(ctx context.Context) (*Report, error) {
 				run = remoteRun(x.Client, spec)
 			}
 			slots[i].cfg = cfg
-			slots[i].handle = eng.SubmitKeyed(cfg.Fingerprint(), cfg, run)
+			slots[i].handle = eng.Submit(cfg.Fingerprint(), cfg, run)
 		}
 		out := make([]*Evaluation, len(pts))
 		for i, p := range pts {

@@ -306,7 +306,7 @@ func runChaosSchedule(t *testing.T, seed int64) {
 	// Journal invariants. The file must parse cleanly even after injected
 	// faults: the repair path truncates every torn write it survives, and a
 	// degrading fault truncates before giving up.
-	recs, dropped, err := campaign.LoadJournalEx(jpath)
+	recs, dropped, err := campaign.LoadJournalFS(nil, jpath)
 	if err != nil {
 		t.Fatalf("replay journal: %v", err)
 	}

@@ -104,7 +104,7 @@ func (s *Server) RequeuePending(recs []campaign.Record) int {
 			s.opts.Logf("service: pending lease %s: config fingerprint mismatch; dropping", rec.Key)
 			continue
 		}
-		handle := s.eng.SubmitKeyed(rec.Key, cfg, s.distRun(rec.Key, false))
+		handle := s.eng.Submit(rec.Key, cfg, s.distRun(rec.Key, false))
 		s.mu.Lock()
 		s.pending++
 		s.mu.Unlock()

@@ -214,7 +214,7 @@ func TestZombieFencingNeverDoubleJournals(t *testing.T) {
 	advance := func(d time.Duration) { mu.Lock(); now = now.Add(d); mu.Unlock() }
 
 	journalPath := filepath.Join(t.TempDir(), "journal.jsonl")
-	jrn, err := campaign.OpenJournal(journalPath, false)
+	jrn, err := campaign.OpenJournalWith(journalPath, false, campaign.JournalOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -308,7 +308,7 @@ func TestZombieFencingNeverDoubleJournals(t *testing.T) {
 	if err := jrn.Close(); err != nil {
 		t.Fatal(err)
 	}
-	recs, err := campaign.LoadJournal(journalPath)
+	recs, _, err := campaign.LoadJournalFS(nil, journalPath)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -106,7 +106,7 @@ func TestJournalDegradedServesCacheOnly(t *testing.T) {
 	}
 
 	// No partial record is visible to replay: exactly job A's line, clean.
-	recs, dropped, err := campaign.LoadJournalEx(path)
+	recs, dropped, err := campaign.LoadJournalFS(nil, path)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -28,7 +28,7 @@ const e2eSpec = `{"scheme":"stt4","bench":"milc","seed":11,"warmup_cycles":100,"
 // journal serves the same configuration without re-executing it.
 func TestE2EDedupRestartAcceptance(t *testing.T) {
 	journalPath := filepath.Join(t.TempDir(), "journal.jsonl")
-	jrn, err := campaign.OpenJournal(journalPath, false)
+	jrn, err := campaign.OpenJournalWith(journalPath, false, campaign.JournalOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestE2EDedupRestartAcceptance(t *testing.T) {
 
 	// Phase 2: restart. A fresh engine preloaded from the journal must serve
 	// the same configuration from its memo, executing nothing.
-	recs, err := campaign.LoadJournal(journalPath)
+	recs, _, err := campaign.LoadJournalFS(nil, journalPath)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +167,7 @@ func TestE2EDedupRestartAcceptance(t *testing.T) {
 // coordinator whose worker ran the same spec.
 func TestMemoServesEveryPathIdentically(t *testing.T) {
 	journalPath := filepath.Join(t.TempDir(), "journal.jsonl")
-	jrn, err := campaign.OpenJournal(journalPath, false)
+	jrn, err := campaign.OpenJournalWith(journalPath, false, campaign.JournalOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +231,7 @@ func TestMemoServesEveryPathIdentically(t *testing.T) {
 	if err := jrn.Close(); err != nil {
 		t.Fatal(err)
 	}
-	recs, err := campaign.LoadJournal(journalPath)
+	recs, _, err := campaign.LoadJournalFS(nil, journalPath)
 	if err != nil {
 		t.Fatal(err)
 	}

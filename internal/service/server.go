@@ -381,7 +381,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		}
 		run = s.runFunc(key)
 	}
-	j.handle = s.eng.SubmitKeyed(key, runCfg, run)
+	j.handle = s.eng.Submit(key, runCfg, run)
 	j.deduped = j.handle.Joined
 	s.addJob(j)
 	go s.watch(j)
@@ -559,10 +559,12 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 	limit := 100
 	if q := r.URL.Query().Get("limit"); q != "" {
-		fmt.Sscanf(q, "%d", &limit)
-	}
-	if limit < 1 {
-		limit = 1
+		n, err := strconv.Atoi(q)
+		if err != nil {
+			writeError(w, http.StatusBadRequest, fmt.Sprintf("limit %q is not an integer", q), 0)
+			return
+		}
+		limit = max(n, 1)
 	}
 	s.mu.Lock()
 	var out []JobStatus

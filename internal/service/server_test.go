@@ -541,3 +541,43 @@ func TestStreamedResultMatchesUnstreamed(t *testing.T) {
 		t.Fatalf("stream flag leaked into the fingerprint: %s vs %s", st1.Key, st2.Key)
 	}
 }
+
+// TestListLimit: GET /v1/jobs?limit=N lists the N most recent jobs, clamps
+// N to at least 1, and answers 400 to a limit that is not an integer
+// instead of silently listing the default page or a prefix's worth.
+func TestListLimit(t *testing.T) {
+	_, ts := newTestServer(t, nil)
+	for i := 0; i < 3; i++ {
+		if resp, _ := postJob(t, ts, fmt.Sprintf(`{"scheme":"stt4","bench":"milc","seed":%d,"warmup_cycles":100,"measure_cycles":200}`, i+1)); resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("submit %d = %d, want 202", i, resp.StatusCode)
+		}
+	}
+	list := func(query string) (int, int) {
+		t.Helper()
+		resp, err := http.Get(ts.URL + "/v1/jobs" + query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var body struct {
+			Jobs []JobStatus `json:"jobs"`
+		}
+		json.NewDecoder(resp.Body).Decode(&body)
+		return resp.StatusCode, len(body.Jobs)
+	}
+	for _, tc := range []struct {
+		query   string
+		code, n int
+	}{
+		{"", http.StatusOK, 3},
+		{"?limit=2", http.StatusOK, 2},
+		{"?limit=0", http.StatusOK, 1},
+		{"?limit=-4", http.StatusOK, 1},
+		{"?limit=abc", http.StatusBadRequest, 0},
+		{"?limit=5x", http.StatusBadRequest, 0},
+	} {
+		if code, n := list(tc.query); code != tc.code || n != tc.n {
+			t.Errorf("GET /v1/jobs%s = %d with %d job(s), want %d with %d", tc.query, code, n, tc.code, tc.n)
+		}
+	}
+}

@@ -3,8 +3,11 @@ package functional
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"os"
+	"os/exec"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -151,6 +154,23 @@ func TestJournalResumeServesWarmCache(t *testing.T) {
 	}
 	if stats.Journal == nil || stats.Journal.ReplayDropped != 1 {
 		t.Errorf("journal stats = %+v, want replay_dropped 1 for the torn line", stats.Journal)
+	}
+}
+
+// TestResumeWithoutCheckpointExits: -resume with no -checkpoint has no
+// journal to replay, so the daemon must exit non-zero on its own before it
+// listens, instead of serving as if it had resumed.
+func TestResumeWithoutCheckpointExits(t *testing.T) {
+	skipShort(t)
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	defer cancel()
+	out, err := exec.CommandContext(ctx, sttsimdBin, "-mode", "standalone", "-addr", "127.0.0.1:0", "-resume").CombinedOutput()
+	var ee *exec.ExitError
+	if !errors.As(err, &ee) || ee.ExitCode() <= 0 {
+		t.Fatalf("sttsimd -resume without -checkpoint: err = %v, want a non-zero exit of its own\n%s", err, out)
+	}
+	if strings.Contains(string(out), "listening on") || !strings.Contains(string(out), "-checkpoint") {
+		t.Fatalf("sttsimd -resume without -checkpoint logged:\n%s\nwant a -checkpoint usage error before listening", out)
 	}
 }
 
